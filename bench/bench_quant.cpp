@@ -17,7 +17,8 @@
 // same trained HD head on f32 and int8 features.  A top-1 drop beyond
 // --max_drop_pp (default 1.0) percentage points is FATAL.
 //
-// Results land on stdout as tables and in BENCH_quant.json.
+// Results land on stdout as tables and in BENCH_quant.json, stamped with
+// the compile-time SIMD ISA and the int8 GEMM kernel selected at run time.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -34,6 +35,7 @@
 #include "models/zoo.hpp"
 #include "nn/plan.hpp"
 #include "nn/quant_plan.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/simd.hpp"
 #include "util/cli.hpp"
 #include "util/stopwatch.hpp"
@@ -203,8 +205,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n== int8 vs f32 planned throughput, batch %lld, %d thread(s) ==\n%s",
-              static_cast<long long>(batch), threads, table.to_string().c_str());
+  std::printf("\n== int8 vs f32 planned throughput, batch %lld, %d thread(s), int8 kernel %s ==\n%s",
+              static_cast<long long>(batch), threads, tensor::int8_kernel_name(),
+              table.to_string().c_str());
 
   if (best_int8_speedup < min_speedup) {
     std::fprintf(stderr,
@@ -259,6 +262,7 @@ int main(int argc, char** argv) {
       bench::JsonWriter json(out);
       json.begin_object();
       json.field("isa", tensor::simd::kIsaName);
+      json.field("int8_kernel", tensor::int8_kernel_name());
       json.field("batch", batch);
       json.field("threads", threads);
       json.field("samples", dataset.size());

@@ -14,7 +14,7 @@ LossResult softmax_cross_entropy(const tensor::Tensor& logits,
                                  const std::vector<std::int64_t>& labels) {
   assert(logits.shape().rank() == 2);
   const std::int64_t batch = logits.shape()[0];
-  const std::int64_t classes = logits.shape()[1];
+  [[maybe_unused]] const std::int64_t classes = logits.shape()[1];
   assert(static_cast<std::int64_t>(labels.size()) == batch);
 
   LossResult result;

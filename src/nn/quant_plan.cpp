@@ -506,7 +506,7 @@ void QuantizedInferencePlan::execute(const TensorView& in, TensorView out,
         const tensor::quant::QuantizedWeights& qw =
             qweights_[static_cast<std::size_t>(st.weights)];
         // Patch rows use the weight matrix's padded K stride (cols16), so
-        // the s16*u8 gemm runs whole simd strips with no scalar tail — the
+        // the int8 gemm runs whole simd strips with no scalar tail — the
         // zero-padded weight lanes annihilate the zp-filled patch padding.
         const std::int64_t crows16 = qw.cols16;
         // Per-sample carve happens serially up front (Workspace is not
@@ -523,7 +523,6 @@ void QuantizedInferencePlan::execute(const TensorView& in, TensorView out,
         const auto zp_in = static_cast<std::uint8_t>(
             std::min(255, std::max(0, st.in_q.zero_point)));
         const QuantParams out_q = st.out_q;
-        const std::int16_t* wq = qw.data16.data();
         const float* mult = st.mult.data();
         const std::int32_t* sub = st.sub.data();
         const float* bias = st.bias.data();
@@ -533,8 +532,7 @@ void QuantizedInferencePlan::execute(const TensorView& in, TensorView out,
             std::int32_t* acc = acc_buf + n * out_per;
             tensor::quant::im2row_u8(src + n * in_per, g, zp_in, patch,
                                      crows16);
-            tensor::gemm_s16_u8(wq, crows16, patch, crows16, acc, rows,
-                                crows16, cols);
+            tensor::quant::gemm_weights(qw, patch, crows16, acc, crows16, cols);
             std::uint8_t* out_n = dst + n * out_per;
             for (std::int64_t o = 0; o < rows; ++o) {
               tensor::quant::requantize_row_u8(acc + o * cols, cols, sub[o],
@@ -554,8 +552,7 @@ void QuantizedInferencePlan::execute(const TensorView& in, TensorView out,
         std::int32_t* acc = as_s32(ws.alloc(batch * st.rows));
         // acc[o, n] = W_s8[o,:] . x_u8[n,:]; activations sit unpadded in the
         // slab, so pass the true K and let the kernel take its scalar tail.
-        tensor::gemm_s16_u8(qw.data16.data(), qw.cols16, cur_q, st.cols, acc,
-                            st.rows, st.cols, batch);
+        tensor::quant::gemm_weights(qw, cur_q, st.cols, acc, st.cols, batch);
         const int dst_slab = cur_qslab == 0 ? 1 : 0;
         std::uint8_t* dst = qslab[dst_slab];
         for (std::int64_t o = 0; o < st.rows; ++o) {

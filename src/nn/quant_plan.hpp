@@ -2,13 +2,15 @@
 //
 // A QuantizedInferencePlan mirrors InferencePlan (same Sequential prefix,
 // same Workspace-pool discipline, same thread-safety contract) but executes
-// int8-capable layers on the widening u8×s8 kernels in tensor/simd.hpp and
-// tensor/gemm.cpp.  Construction quantizes weights per-channel (keeping a
-// pre-widened, K-padded s16 copy) and compiles a step tape by tracking the
-// activation *representation* through the prefix: the input edge is
-// quantized to u8, conv/linear run gemm_s16_u8 over a u8 im2row lowering —
-// both operands K-padded to whole simd strips, so the tiled kernel never
-// touches a scalar tail — with a per-row requantization epilogue
+// int8-capable layers on the exact u8×s8 kernels in tensor/gemm.cpp (the
+// VNNI kernel where the host has it, the s16 madd kernel elsewhere — see
+// tensor::int8_kernel()).  Construction quantizes weights per-channel
+// (keeping one K-padded copy, in the form the selected kernel reads) and
+// compiles a step tape by tracking the activation *representation* through
+// the prefix: the input edge is quantized to u8, conv/linear run
+// quant::gemm_weights over a u8 im2row lowering — both operands K-padded to
+// whole simd strips, so the tiled kernel never touches a scalar tail —
+// with a per-row requantization epilogue
 // (quant::requantize_row_u8), ReLU/ReLU6 and
 // MaxPool stay in u8 (exact, scale-preserving), Flatten/Dropout vanish, and
 // any other layer falls back to its f32 forward_into with explicit

@@ -7,6 +7,14 @@
 #include "tensor/workspace.hpp"
 #include "util/thread_pool.hpp"
 
+// The run-time-selected VNNI int8 kernels exist on x86 GCC/Clang builds only,
+// and never in NSHD_SIMD_FORCE_SCALAR builds.
+#if !defined(NSHD_SIMD_FORCE_SCALAR) && (defined(__x86_64__) || defined(__i386__)) && \
+    defined(__GNUC__)
+#define NSHD_INT8_VNNI 1
+#include <immintrin.h>
+#endif
+
 namespace nshd::tensor {
 
 namespace {
@@ -208,70 +216,79 @@ void gemm_packed_rows(const float* a, const float* packed, float* c,
   });
 }
 
-/// R pre-widened s16 weight rows against C u8 activation rows — one output
-/// tile of the BT-form int8 GEMM.  Each widened activation strip is shared
-/// by all R madd chains and each weight strip by all C columns, so the
-/// per-multiply widening cost falls as the tile grows; the weight operand
-/// is sign-extended to s16 ahead of time (by the caller or the gemm_s8
-/// wrapper), which keeps the inner iteration free of shuffle-port sign
-/// extension entirely.  4x2 is the largest tile whose accumulators plus
-/// operand strips stay in registers on every target ISA.  Exact integer
-/// accumulation — no ordering caveats.
-template <int R, int C>
-inline void s16_tile(const std::int16_t* a, std::int64_t lda,
-                     const std::uint8_t* b, std::int64_t ldb,
-                     std::int32_t* c, std::int64_t ldc, std::int64_t k) {
-  simd::VS32 acc[R][C];
-  for (int r = 0; r < R; ++r)
-    for (int j = 0; j < C; ++j) acc[r][j] = simd::vqzero();
-  std::int64_t p = 0;
-  for (; p + simd::kDotBytes <= k; p += simd::kDotBytes) {
-    simd::VQA bv[C];
-    for (int j = 0; j < C; ++j) bv[j] = simd::widen_u8(b + j * ldb + p);
-    for (int r = 0; r < R; ++r) {
-      const simd::VQA av = simd::load_s16(a + r * lda + p);
-      for (int j = 0; j < C; ++j)
-        acc[r][j] = simd::madd_s16(acc[r][j], av, bv[j]);
-    }
-  }
-  auto tail = [&](int r, int j, std::int32_t s) {
-    for (std::int64_t q = p; q < k; ++q) {
-      s += static_cast<std::int32_t>(b[j * ldb + q]) *
-           static_cast<std::int32_t>(a[r * lda + q]);
-    }
-    return s;
-  };
-  if constexpr (R == 4) {
-    // Full-height tile: reduce all four row accumulators of each column in
-    // one grouped shuffle tree.  At small K (conv1's K16 is two strips) the
-    // per-output reduction dominates the tile, so this grouping matters.
-    for (int j = 0; j < C; ++j) {
-      std::int32_t s4[4];
-      simd::vs32_hsum4(acc[0][j], acc[1][j], acc[2][j], acc[3][j], s4);
-      for (int r = 0; r < 4; ++r) c[r * ldc + j] = tail(r, j, s4[r]);
-    }
-  } else {
+/// The kMaddS16 tile for int8_rows: R pre-widened s16 weight rows against C
+/// u8 activation rows — one output tile of the BT-form int8 GEMM.  Each
+/// widened activation strip is shared by all R madd chains and each weight
+/// strip by all C columns, so the per-multiply widening cost falls as the
+/// tile grows; the weight operand
+/// is sign-extended to s16 ahead of time (by the caller or gemm_s8_u8),
+/// which keeps the inner iteration free of shuffle-port sign extension
+/// entirely.  The full 4x3 tile holds 12 accumulators plus 3 activation
+/// strips and 1 weight strip: exactly the 16 ymm registers of AVX2.  On
+/// SSE2 each widened strip is two xmm halves, so the tile wants 20 of the
+/// 16 xmm registers and spills; it still measured within 2% of a 4x2 tile
+/// there, so one tile shape serves every ISA.  Exact integer accumulation —
+/// no ordering caveats.
+struct MaddS16Tile {
+  using Weight = std::int16_t;
+
+  template <int R, int C>
+  static void run(const std::int16_t* a, std::int64_t lda,
+                  const std::uint8_t* b, std::int64_t ldb, std::int32_t* c,
+                  std::int64_t ldc, std::int64_t k) {
+    simd::VS32 acc[R][C];
     for (int r = 0; r < R; ++r)
-      for (int j = 0; j < C; ++j)
-        c[r * ldc + j] = tail(r, j, simd::vs32_hsum(acc[r][j]));
+      for (int j = 0; j < C; ++j) acc[r][j] = simd::vqzero();
+    std::int64_t p = 0;
+    for (; p + simd::kDotBytes <= k; p += simd::kDotBytes) {
+      simd::VQA bv[C];
+      for (int j = 0; j < C; ++j) bv[j] = simd::widen_u8(b + j * ldb + p);
+      for (int r = 0; r < R; ++r) {
+        const simd::VQA av = simd::load_s16(a + r * lda + p);
+        for (int j = 0; j < C; ++j)
+          acc[r][j] = simd::madd_s16(acc[r][j], av, bv[j]);
+      }
+    }
+    auto tail = [&](int r, int j, std::int32_t s) {
+      for (std::int64_t q = p; q < k; ++q) {
+        s += static_cast<std::int32_t>(b[j * ldb + q]) *
+             static_cast<std::int32_t>(a[r * lda + q]);
+      }
+      return s;
+    };
+    if constexpr (R == 4) {
+      // Full-height tile: reduce all four row accumulators of each column in
+      // one grouped shuffle tree.  At small K (conv1's K16 is two strips) the
+      // per-output reduction dominates the tile, so this grouping matters.
+      for (int j = 0; j < C; ++j) {
+        std::int32_t s4[4];
+        simd::vs32_hsum4(acc[0][j], acc[1][j], acc[2][j], acc[3][j], s4);
+        for (int r = 0; r < 4; ++r) c[r * ldc + j] = tail(r, j, s4[r]);
+      }
+    } else {
+      for (int r = 0; r < R; ++r)
+        for (int j = 0; j < C; ++j)
+          c[r * ldc + j] = tail(r, j, simd::vs32_hsum(acc[r][j]));
+    }
   }
-}
+};
 
 /// One column group of C tiles (columns [j, j+C)) over the whole row range.
-template <int C>
-inline void s16_col_group(const std::int16_t* a, std::int64_t lda,
-                          const std::uint8_t* b, std::int64_t ldb,
-                          std::int32_t* c, std::int64_t k, std::int64_t n,
-                          std::int64_t r0, std::int64_t r1, std::int64_t j) {
+template <class Tile, int C>
+inline void int8_col_group(const typename Tile::Weight* a, std::int64_t lda,
+                           const std::uint8_t* b, std::int64_t ldb,
+                           std::int32_t* c, std::int64_t k, std::int64_t n,
+                           std::int64_t r0, std::int64_t r1, std::int64_t j) {
   std::int64_t i = r0;
   for (; i + 4 <= r1; i += 4)
-    s16_tile<4, C>(a + i * lda, lda, b + j * ldb, ldb, c + i * n + j, n, k);
+    Tile::template run<4, C>(a + i * lda, lda, b + j * ldb, ldb, c + i * n + j, n, k);
   for (; i < r1; ++i)
-    s16_tile<1, C>(a + i * lda, lda, b + j * ldb, ldb, c + i * n + j, n, k);
+    Tile::template run<1, C>(a + i * lda, lda, b + j * ldb, ldb, c + i * n + j, n, k);
 }
 
-/// Row-range tile driver shared by both int8 GEMM entry points.  C is
-/// row-major [m, n] with no stride (ldc == n).
+/// Row-range tile driver shared by every int8 kernel (`Tile` supplies the
+/// R x C output tile and the weight element type).  C is row-major [m, n]
+/// with no stride (ldc == n).
 ///
 /// Two loop orders, same tiles, same results (each C entry is produced by
 /// one identical tile invocation either way): rows-outer re-streams all of B
@@ -281,41 +298,184 @@ inline void s16_col_group(const std::int16_t* a, std::int64_t lda,
 /// off the rows-outer cliff — B's per-tile runs are a few cache lines, too
 /// short for the prefetcher, and the whole panel is re-streamed m/4 times —
 /// so pick whichever order keeps the smaller operand resident.
-inline void s16_rows(const std::int16_t* a, std::int64_t lda,
-                     const std::uint8_t* b, std::int64_t ldb, std::int32_t* c,
-                     std::int64_t k, std::int64_t n, std::int64_t r0,
-                     std::int64_t r1) {
-  const std::int64_t a_chunk_bytes = (r1 - r0) * lda * 2;
+template <class Tile>
+inline void int8_rows(const typename Tile::Weight* a, std::int64_t lda,
+                      const std::uint8_t* b, std::int64_t ldb, std::int32_t* c,
+                      std::int64_t k, std::int64_t n, std::int64_t r0,
+                      std::int64_t r1) {
+  const std::int64_t a_chunk_bytes =
+      (r1 - r0) * lda * static_cast<std::int64_t>(sizeof(typename Tile::Weight));
   if (n * ldb > a_chunk_bytes) {
     std::int64_t j = 0;
-    for (; j + 3 <= n; j += 3) s16_col_group<3>(a, lda, b, ldb, c, k, n, r0, r1, j);
+    for (; j + 3 <= n; j += 3) int8_col_group<Tile, 3>(a, lda, b, ldb, c, k, n, r0, r1, j);
     if (j + 2 <= n) {
-      s16_col_group<2>(a, lda, b, ldb, c, k, n, r0, r1, j);
+      int8_col_group<Tile, 2>(a, lda, b, ldb, c, k, n, r0, r1, j);
       j += 2;
     }
-    if (j < n) s16_col_group<1>(a, lda, b, ldb, c, k, n, r0, r1, j);
+    if (j < n) int8_col_group<Tile, 1>(a, lda, b, ldb, c, k, n, r0, r1, j);
     return;
   }
   std::int64_t i = r0;
   for (; i + 4 <= r1; i += 4) {
+    const auto* ai = a + i * lda;
+    std::int32_t* ci = c + i * n;
     std::int64_t j = 0;
     for (; j + 3 <= n; j += 3)
-      s16_tile<4, 3>(a + i * lda, lda, b + j * ldb, ldb, c + i * n + j, n, k);
+      Tile::template run<4, 3>(ai, lda, b + j * ldb, ldb, ci + j, n, k);
     if (j + 2 <= n) {
-      s16_tile<4, 2>(a + i * lda, lda, b + j * ldb, ldb, c + i * n + j, n, k);
+      Tile::template run<4, 2>(ai, lda, b + j * ldb, ldb, ci + j, n, k);
       j += 2;
     }
-    if (j < n)
-      s16_tile<4, 1>(a + i * lda, lda, b + j * ldb, ldb, c + i * n + j, n, k);
+    if (j < n) Tile::template run<4, 1>(ai, lda, b + j * ldb, ldb, ci + j, n, k);
   }
   for (; i < r1; ++i) {
+    const auto* ai = a + i * lda;
+    std::int32_t* ci = c + i * n;
     std::int64_t j = 0;
     for (; j + 2 <= n; j += 2)
-      s16_tile<1, 2>(a + i * lda, lda, b + j * ldb, ldb, c + i * n + j, n, k);
-    if (j < n)
-      s16_tile<1, 1>(a + i * lda, lda, b + j * ldb, ldb, c + i * n + j, n, k);
+      Tile::template run<1, 2>(ai, lda, b + j * ldb, ldb, ci + j, n, k);
+    if (j < n) Tile::template run<1, 1>(ai, lda, b + j * ldb, ldb, ci + j, n, k);
   }
 }
+
+#if defined(NSHD_INT8_VNNI)
+
+// The VNNI kernels.  They are compiled into this otherwise baseline-ISA
+// translation unit through function target attributes, never through -m
+// flags (simd.hpp must mean one thing per binary), and run only after
+// int8_kernel() has seen the feature in CPUID.
+//
+// One tile body serves both encodings of vpdpbusd.  VnniTile::run is built
+// for plain AVX2 and reaches the instruction through its Dp policy.  GCC will
+// not inline a VNNI function into an AVX2 one, so each of the two entry
+// points (vnni_rows_vex / vnni_rows_evex) carries its VNNI target plus
+// `flatten`, which inlines the shared row driver, the tile and the policy
+// into one body compiled for that target.  Vectors pass by value only
+// between AVX functions, so no ABI boundary is crossed.
+
+#define NSHD_TARGET_AVX2 __attribute__((target("avx2")))
+#define NSHD_TARGET_AVXVNNI __attribute__((target("avxvnni")))
+#define NSHD_TARGET_AVX512VNNI __attribute__((target("avx512vnni,avx512vl")))
+
+/// vpdpbusd (VEX): each s32 lane of acc += the 4-way dot of its u8 and s8
+/// bytes.  The four products and their sum fit s32 with room to spare
+/// (4 * 255 * 128 < 2^17), and the accumulate wraps rather than saturates
+/// (unlike vpdpbusds), so the result is the exact integer dot.
+struct DpbusdVex {
+  NSHD_TARGET_AVXVNNI static __m256i dp(__m256i acc, __m256i u8, __m256i s8) {
+    return _mm256_dpbusd_avx_epi32(acc, u8, s8);
+  }
+};
+
+/// The same instruction, EVEX-encoded (AVX512-VNNI + AVX512-VL).
+struct DpbusdEvex {
+  NSHD_TARGET_AVX512VNNI static __m256i dp(__m256i acc, __m256i u8, __m256i s8) {
+    return _mm256_dpbusd_epi32(acc, u8, s8);
+  }
+};
+
+NSHD_TARGET_AVX2 inline std::int32_t hsum256(__m256i a) {
+  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(a), _mm256_extracti128_si256(a, 1));
+  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
+  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
+  return _mm_cvtsi128_si32(s);
+}
+
+/// One K strip of operand bytes: 32, or 16 zero-extended when kHalf.
+template <bool kHalf>
+NSHD_TARGET_AVX2 inline __m256i load_strip(const void* p) {
+  if constexpr (kHalf) {
+    return _mm256_zextsi128_si256(_mm_loadu_si128(static_cast<const __m128i*>(p)));
+  } else {
+    return _mm256_loadu_si256(static_cast<const __m256i*>(p));
+  }
+}
+
+/// out[0..3] = hsum256 of a, b, c, d in one shuffle tree (exact: integer adds).
+NSHD_TARGET_AVX2 inline void hsum256x4(__m256i a, __m256i b, __m256i c, __m256i d,
+                                       std::int32_t* out) {
+  const __m256i t0 = _mm256_hadd_epi32(a, b);
+  const __m256i t1 = _mm256_hadd_epi32(c, d);
+  const __m256i t2 = _mm256_hadd_epi32(t0, t1);
+  const __m128i s = _mm_add_epi32(_mm256_castsi256_si128(t2),
+                                  _mm256_extracti128_si256(t2, 1));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), s);
+}
+
+/// The VNNI output tile: the same BT form and R x C shapes as MaddS16Tile, on
+/// raw s8 weight rows, with K in 32-byte strips (plus one 16-byte strip and
+/// a scalar tail).  The 4x3 tile's 12 accumulators and operand strips just
+/// exceed the 16 ymm registers of the VEX form, which spills a few of them
+/// each strip; the EVEX form has 32 registers and keeps the whole loop in
+/// them, which is why int8_kernel() prefers it where the host has both.
+template <class Dp>
+struct VnniTile {
+  using Weight = std::int8_t;
+
+  template <int R, int C>
+  NSHD_TARGET_AVX2 static void run(const std::int8_t* a, std::int64_t lda,
+                                   const std::uint8_t* b, std::int64_t ldb,
+                                   std::int32_t* c, std::int64_t ldc,
+                                   std::int64_t k) {
+    __m256i acc[R][C];
+    for (int r = 0; r < R; ++r)
+      for (int j = 0; j < C; ++j) acc[r][j] = _mm256_setzero_si256();
+    // A leading 16-byte strip (when K mod 32 is 16 or more; zero-extended,
+    // so the high lanes add 0), then the 32-byte strips, so the accumulators
+    // flow straight from the main loop into the reduction.  The two strip
+    // bodies are spelled out: a lambda would not carry the target attribute,
+    // and a helper taking `acc` by reference pins it to the stack.
+    std::int64_t p = 0;
+    if (k % (2 * simd::kDotBytes) >= simd::kDotBytes) {
+      for (int j = 0; j < C; ++j) {
+        const __m256i bv = load_strip<true>(b + j * ldb);
+        for (int r = 0; r < R; ++r)
+          acc[r][j] = Dp::dp(acc[r][j], bv, load_strip<true>(a + r * lda));
+      }
+      p = simd::kDotBytes;
+    }
+    for (; p + 2 * simd::kDotBytes <= k; p += 2 * simd::kDotBytes) {
+      for (int j = 0; j < C; ++j) {
+        const __m256i bv = load_strip<false>(b + j * ldb + p);
+        for (int r = 0; r < R; ++r)
+          acc[r][j] = Dp::dp(acc[r][j], bv, load_strip<false>(a + r * lda + p));
+      }
+    }
+    auto tail = [&](int r, int j, std::int32_t s) {
+      for (std::int64_t q = p; q < k; ++q) {
+        s += static_cast<std::int32_t>(b[j * ldb + q]) *
+             static_cast<std::int32_t>(a[r * lda + q]);
+      }
+      return s;
+    };
+    if constexpr (R == 4) {
+      for (int j = 0; j < C; ++j) {
+        std::int32_t s4[4];
+        hsum256x4(acc[0][j], acc[1][j], acc[2][j], acc[3][j], s4);
+        for (int r = 0; r < 4; ++r) c[r * ldc + j] = tail(r, j, s4[r]);
+      }
+    } else {
+      for (int r = 0; r < R; ++r)
+        for (int j = 0; j < C; ++j) c[r * ldc + j] = tail(r, j, hsum256(acc[r][j]));
+    }
+  }
+};
+
+NSHD_TARGET_AVXVNNI __attribute__((flatten)) void vnni_rows_vex(
+    const std::int8_t* a, std::int64_t lda, const std::uint8_t* b,
+    std::int64_t ldb, std::int32_t* c, std::int64_t k, std::int64_t n,
+    std::int64_t r0, std::int64_t r1) {
+  int8_rows<VnniTile<DpbusdVex>>(a, lda, b, ldb, c, k, n, r0, r1);
+}
+
+NSHD_TARGET_AVX512VNNI __attribute__((flatten)) void vnni_rows_evex(
+    const std::int8_t* a, std::int64_t lda, const std::uint8_t* b,
+    std::int64_t ldb, std::int32_t* c, std::int64_t k, std::int64_t n,
+    std::int64_t r0, std::int64_t r1) {
+  int8_rows<VnniTile<DpbusdEvex>>(a, lda, b, ldb, c, k, n, r0, r1);
+}
+
+#endif  // NSHD_INT8_VNNI
 
 }  // namespace
 
@@ -441,25 +601,73 @@ float dot(const float* a, const float* b, std::int64_t n) {
   return dot_kernel(a, b, n);
 }
 
+bool int8_kernel_supported(Int8Kernel kernel) {
+  switch (kernel) {
+    case Int8Kernel::kMaddS16: return true;
+#if defined(NSHD_INT8_VNNI)
+    case Int8Kernel::kAvxVnni:
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avxvnni");
+    case Int8Kernel::kAvx512Vnni:
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avx512vnni") && __builtin_cpu_supports("avx512vl");
+#endif
+    default: return false;
+  }
+}
+
+Int8Kernel int8_kernel() {
+  static const Int8Kernel kernel =
+      int8_kernel_supported(Int8Kernel::kAvx512Vnni) ? Int8Kernel::kAvx512Vnni
+      : int8_kernel_supported(Int8Kernel::kAvxVnni)  ? Int8Kernel::kAvxVnni
+                                                     : Int8Kernel::kMaddS16;
+  return kernel;
+}
+
+const char* int8_kernel_name(Int8Kernel kernel) {
+  switch (kernel) {
+    case Int8Kernel::kMaddS16: return "madd_s16";
+    case Int8Kernel::kAvxVnni: return "avx_vnni";
+    case Int8Kernel::kAvx512Vnni: return "avx512_vnni";
+  }
+  return "unknown";
+}
+
+const char* int8_kernel_name() { return int8_kernel_name(int8_kernel()); }
+
 void gemm_s8(const std::int8_t* a, const std::uint8_t* b, std::int32_t* c,
              std::int64_t m, std::int64_t k, std::int64_t n) {
-  // Widen the weight operand to s16 once up front — O(M*K) against the
-  // O(M*K*N) madd work it strips out of the inner loop — then run the
-  // tiled core.  The widened copy lives in the per-thread pack arena,
-  // frame-scoped exactly like the f32 panel workspace.  Chunks own
-  // disjoint row ranges of C; kRowGrain is a multiple of 4, so row
-  // grouping is the same for every partition (and the integer sums are
+  gemm_s8_u8(int8_kernel(), a, k, b, k, c, m, k, n);
+}
+
+void gemm_s8_u8(Int8Kernel kernel, const std::int8_t* a, std::int64_t lda,
+                const std::uint8_t* b, std::int64_t ldb, std::int32_t* c,
+                std::int64_t m, std::int64_t k, std::int64_t n) {
+  // Chunks own disjoint row ranges of C; kRowGrain is a multiple of 4, so
+  // row grouping is the same for every partition (and the integer sums are
   // order-exact anyway).
   if (m == 0 || n == 0) return;
+  if (!int8_kernel_supported(kernel)) kernel = Int8Kernel::kMaddS16;
+#if defined(NSHD_INT8_VNNI)
+  if (kernel != Int8Kernel::kMaddS16) {
+    const auto rows = kernel == Int8Kernel::kAvxVnni ? vnni_rows_vex : vnni_rows_evex;
+    util::parallel_for(0, m, kRowGrain, [=](std::int64_t r0, std::int64_t r1) {
+      rows(a, lda, b, ldb, c, k, n, r0, r1);
+    });
+    return;
+  }
+#endif
+  // kMaddS16: widen the weight operand to s16 once up front — O(M*K)
+  // against the O(M*K*N) madd work it strips out of the inner loop — then
+  // run the tiled core.  The widened copy lives in the per-thread pack
+  // arena, frame-scoped exactly like the f32 panel workspace.
   Workspace& ws = tl_pack_ws;
   Workspace::Frame frame(ws);
-  const std::int64_t elems = m * k;
   auto* a16 = reinterpret_cast<std::int16_t*>(
-      ws.alloc((elems * static_cast<std::int64_t>(sizeof(std::int16_t)) + 3) / 4));
-  for (std::int64_t i = 0; i < elems; ++i) a16[i] = a[i];
-  util::parallel_for(0, m, kRowGrain, [=](std::int64_t r0, std::int64_t r1) {
-    s16_rows(a16, k, b, k, c, k, n, r0, r1);
-  });
+      ws.alloc((m * k * static_cast<std::int64_t>(sizeof(std::int16_t)) + 3) / 4));
+  for (std::int64_t i = 0; i < m; ++i)
+    for (std::int64_t p = 0; p < k; ++p) a16[i * k + p] = a[i * lda + p];
+  gemm_s16_u8(a16, k, b, ldb, c, m, k, n);
 }
 
 void gemm_s16_u8(const std::int16_t* a, std::int64_t lda,
@@ -467,7 +675,7 @@ void gemm_s16_u8(const std::int16_t* a, std::int64_t lda,
                  std::int64_t m, std::int64_t k, std::int64_t n) {
   if (m == 0 || n == 0) return;
   util::parallel_for(0, m, kRowGrain, [=](std::int64_t r0, std::int64_t r1) {
-    s16_rows(a, lda, b, ldb, c, k, n, r0, r1);
+    int8_rows<MaddS16Tile>(a, lda, b, ldb, c, k, n, r0, r1);
   });
 }
 

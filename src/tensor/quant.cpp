@@ -77,13 +77,17 @@ CalibStatus activation_params(const Range& range, QuantParams* params) {
 }
 
 QuantizedWeights quantize_weights_per_channel(const float* w, std::int64_t rows,
-                                              std::int64_t cols) {
+                                              std::int64_t cols, Int8Kernel kernel) {
   QuantizedWeights qw;
   qw.rows = rows;
   qw.cols = cols;
   qw.cols16 = (cols + simd::kDotBytes - 1) / simd::kDotBytes * simd::kDotBytes;
-  qw.data.resize(static_cast<std::size_t>(rows * cols));
-  qw.data16.assign(static_cast<std::size_t>(rows * qw.cols16), 0);
+  const auto padded = static_cast<std::size_t>(rows * qw.cols16);
+  if (kernel == Int8Kernel::kMaddS16) {
+    qw.data16.assign(padded, 0);
+  } else {
+    qw.data8.assign(padded, 0);
+  }
   qw.scales.resize(static_cast<std::size_t>(rows));
   qw.row_sums.resize(static_cast<std::size_t>(rows));
   for (std::int64_t r = 0; r < rows; ++r) {
@@ -92,19 +96,31 @@ QuantizedWeights quantize_weights_per_channel(const float* w, std::int64_t rows,
     for (std::int64_t j = 0; j < cols; ++j) amax = std::max(amax, std::fabs(src[j]));
     const float scale = amax > 0.0f ? amax / 127.0f : 1.0f;
     qw.scales[static_cast<std::size_t>(r)] = scale;
-    std::int8_t* dst = qw.data.data() + r * cols;
-    std::int16_t* dst16 = qw.data16.data() + r * qw.cols16;
     std::int32_t sum = 0;
     const float inv = 1.0f / scale;
     for (std::int64_t j = 0; j < cols; ++j) {
       const long q = std::min(127L, std::max(-127L, std::lround(src[j] * inv)));
-      dst[j] = static_cast<std::int8_t>(q);
-      dst16[j] = static_cast<std::int16_t>(q);
+      const auto i = static_cast<std::size_t>(r * qw.cols16 + j);
+      if (qw.data8.empty()) {
+        qw.data16[i] = static_cast<std::int16_t>(q);
+      } else {
+        qw.data8[i] = static_cast<std::int8_t>(q);
+      }
       sum += static_cast<std::int32_t>(q);
     }
     qw.row_sums[static_cast<std::size_t>(r)] = sum;
   }
   return qw;
+}
+
+void gemm_weights(const QuantizedWeights& w, const std::uint8_t* b,
+                  std::int64_t ldb, std::int32_t* acc, std::int64_t k,
+                  std::int64_t n) {
+  if (w.data8.empty()) {
+    gemm_s16_u8(w.data16.data(), w.cols16, b, ldb, acc, w.rows, k, n);
+  } else {
+    gemm_s8_u8(int8_kernel(), w.data8.data(), w.cols16, b, ldb, acc, w.rows, k, n);
+  }
 }
 
 namespace {

@@ -27,6 +27,7 @@
 #include <limits>
 #include <vector>
 
+#include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/simd.hpp"
 
@@ -93,25 +94,46 @@ class MovingAverageObserver {
 /// kCalibNan / kScaleZero the output params are left untouched.
 CalibStatus activation_params(const Range& range, QuantParams* params);
 
-/// Per-channel symmetrically quantized weight matrix: row r of `data` holds
+/// Per-channel symmetrically quantized weight matrix: row r holds
 /// round(w[r,:] / scales[r]) clamped to ±127 (all-zero rows get scale 1.0),
 /// and row_sums[r] caches the integer row sum for the zero-point correction.
-/// `data16` carries the same rows pre-widened to s16 with stride `cols16`
-/// (cols rounded up to a whole simd::kDotBytes strip, zero-padded) — the
-/// operand gemm_s16_u8 consumes, so the inference plan never pays a
-/// per-batch widening pass and never runs a scalar K tail.
+/// The rows are stored once, at stride `cols16` (cols rounded up to a whole
+/// simd::kDotBytes strip, zero-padded), in the form the kernel reads: s8 in
+/// `data8` for the VNNI kernels, pre-widened s16 in `data16` for kMaddS16.
+/// The other vector stays empty.  Either way `gemm_weights` runs whole
+/// strips with no per-call widening pass and no scalar K tail.
 struct QuantizedWeights {
-  std::vector<std::int8_t> data;
+  std::vector<std::int8_t> data8;
   std::vector<std::int16_t> data16;
   std::vector<float> scales;
   std::vector<std::int32_t> row_sums;
   std::int64_t rows = 0;
   std::int64_t cols = 0;
   std::int64_t cols16 = 0;
+
+  /// The quantized weight at (r, j), j < cols16 (padding reads 0), from
+  /// whichever form is kept.
+  std::int32_t at(std::int64_t r, std::int64_t j) const {
+    const std::int64_t i = r * cols16 + j;
+    return data8.empty() ? data16[static_cast<std::size_t>(i)]
+                         : data8[static_cast<std::size_t>(i)];
+  }
 };
 
+/// Quantizes w[rows, cols] per output row, storing the rows in the form
+/// `kernel` reads (by default the kernel this host runs, int8_kernel()).
 QuantizedWeights quantize_weights_per_channel(const float* w, std::int64_t rows,
-                                              std::int64_t cols);
+                                              std::int64_t cols,
+                                              Int8Kernel kernel = int8_kernel());
+
+/// acc_s32[rows, n] = W * B_u8[n, :]^T, where B's rows sit at stride ldb:
+/// s8 weights run on int8_kernel(), s16 weights on gemm_s16_u8.  `k` is the
+/// K extent walked: cols16 when B's rows are padded to that stride with
+/// initialized bytes (the zero weight lanes annihilate them, and no scalar
+/// tail runs), or cols when they are not.
+void gemm_weights(const QuantizedWeights& w, const std::uint8_t* b,
+                  std::int64_t ldb, std::int32_t* acc, std::int64_t k,
+                  std::int64_t n);
 
 /// Quantizes one value (round half away from zero, clamped to [0,255]).
 inline std::uint8_t quantize_value(float x, const QuantParams& qp) {
@@ -174,7 +196,7 @@ void max_pool2d_u8(const std::uint8_t* src, std::int64_t channels,
 /// u8 patch lowering for the int8 conv: writes one `row_stride`-byte row per
 /// output position (0 -> exactly col_rows bytes), each holding that
 /// position's contiguous K-patch — the TRANSPOSE of f32 im2col, shaped for
-/// gemm_s8 / gemm_s16_u8.  Padding taps and the [col_rows, row_stride) K-pad
+/// gemm_weights.  Padding taps and the [col_rows, row_stride) K-pad
 /// bytes are written as `zero_point`, so a K-padded gemm reads initialized
 /// data (the zero-padded weight lanes annihilate it regardless of value).
 void im2row_u8(const std::uint8_t* image, const ConvGeometry& geom,

@@ -22,16 +22,19 @@ constexpr std::uint32_t kFormatVersion = 1;
 // Footer = whole-file CRC + commit marker.
 constexpr std::size_t kFooterSize = sizeof(std::uint32_t) + sizeof(kCommit);
 
-template <typename T>
-void append_pod(std::vector<std::uint8_t>& out, const T& value) {
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(&value);
-  out.insert(out.end(), bytes, bytes + sizeof(T));
-}
-
 void append_bytes(std::vector<std::uint8_t>& out, const void* data,
                   std::size_t size) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  out.insert(out.end(), bytes, bytes + size);
+  // An empty key, meta string or tensor appends nothing, and its data()
+  // may be null, which memcpy must not see even for zero bytes.
+  if (size == 0) return;
+  const std::size_t at = out.size();
+  out.resize(at + size);
+  std::memcpy(out.data() + at, data, size);
+}
+
+template <typename T>
+void append_pod(std::vector<std::uint8_t>& out, const T& value) {
+  append_bytes(out, &value, sizeof(T));
 }
 
 /// Bounds-checked sequential reader over the raw buffer.

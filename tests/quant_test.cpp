@@ -1,5 +1,7 @@
 // Tests for the INT8 inference path: widening dot/gemm_s8 differentials
-// against integer references (odd shapes, saturation edges), quantization
+// against integer references (odd shapes, saturation edges), each int8 GEMM
+// kernel the host can run (strides, K tails, both loop orders, full-scale
+// corners, thread-count invariance), quantization
 // primitives (round trip, per-channel weights, u8 im2row vs f32 im2col),
 // calibration observers and their typed fault sites ("quant.calib_nan",
 // "quant.scale_zero"), QuantizedInferencePlan semantics (thread-count
@@ -9,9 +11,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <future>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/feature_extractor.hpp"
@@ -128,23 +132,203 @@ TEST(QuantKernels, GemmS8ThreadCountInvariant) {
   EXPECT_EQ(serial, parallel);
 }
 
+// --- Strided int8 kernels: gemm_s16_u8 and gemm_s8_u8 on each kernel ---
+
+// Operands of one strided BT-form case.  Weight rows hold k values at stride
+// lda and activation rows k values at stride ldb; every byte in a row's
+// [k, stride) padding is junk, which the kernels must never read into C.
+struct StridedCase {
+  std::int64_t m, k, n, lda, ldb;
+};
+
+struct StridedOperands {
+  std::vector<std::int8_t> a;
+  std::vector<std::uint8_t> b;
+};
+
+StridedOperands strided_operands(const StridedCase& c, std::uint64_t seed) {
+  StridedOperands ops{random_s8(c.m * c.lda, seed), random_u8(c.n * c.ldb, seed + 1)};
+  return ops;
+}
+
+std::vector<std::int32_t> strided_reference(const StridedCase& c, const StridedOperands& ops) {
+  std::vector<std::int32_t> ref(static_cast<std::size_t>(c.m * c.n));
+  for (std::int64_t i = 0; i < c.m; ++i)
+    for (std::int64_t j = 0; j < c.n; ++j)
+      ref[static_cast<std::size_t>(i * c.n + j)] =
+          ref_dot(ops.b.data() + j * c.ldb, ops.a.data() + i * c.lda, c.k);
+  return ref;
+}
+
+// Odd m and n (partial 4-row and 3-column tiles), K ending on a 32-byte
+// strip, on a 16-byte strip, and in a scalar tail, strides with junk
+// padding, and both loop orders of the row driver: wide activation panels
+// (n * ldb above a 16-row weight chunk) run columns-outer, the rest
+// rows-outer.
+const StridedCase kStridedCases[] = {
+    {1, 1, 1, 1, 1},        {3, 7, 2, 9, 11},       {5, 16, 3, 16, 21},
+    {7, 33, 5, 48, 40},     {9, 48, 7, 48, 48},     {13, 63, 4, 64, 80},
+    {16, 40, 200, 48, 48},  {6, 17, 301, 32, 19},   {37, 40, 3, 48, 48},
+    {33, 129, 2, 144, 160}, {20, 1152, 9, 1152, 1160},
+};
+
+TEST(QuantKernels, GemmS16U8MatchesIntegerReferenceWithStridesAndTails) {
+  for (const StridedCase& c : kStridedCases) {
+    const StridedOperands ops = strided_operands(c, 41 + static_cast<std::uint64_t>(c.k));
+    std::vector<std::int16_t> a16(ops.a.begin(), ops.a.end());
+    std::vector<std::int32_t> out(static_cast<std::size_t>(c.m * c.n), -1);
+    tensor::gemm_s16_u8(a16.data(), c.lda, ops.b.data(), c.ldb, out.data(), c.m, c.k, c.n);
+    EXPECT_EQ(out, strided_reference(c, ops))
+        << "m=" << c.m << " k=" << c.k << " n=" << c.n << " lda=" << c.lda << " ldb=" << c.ldb;
+  }
+}
+
+TEST(QuantKernels, SelectedInt8KernelIsSupported) {
+  const tensor::Int8Kernel kernel = tensor::int8_kernel();
+  EXPECT_TRUE(tensor::int8_kernel_supported(kernel));
+  EXPECT_TRUE(tensor::int8_kernel_supported(tensor::Int8Kernel::kMaddS16));
+  EXPECT_STREQ(tensor::int8_kernel_name(), tensor::int8_kernel_name(kernel));
+#if defined(NSHD_SIMD_FORCE_SCALAR) || !(defined(__x86_64__) || defined(__i386__))
+  EXPECT_EQ(kernel, tensor::Int8Kernel::kMaddS16);
+#endif
+  std::printf("int8 kernel: %s\n", tensor::int8_kernel_name());
+}
+
+// Every int8 kernel through its own entry point.  A kernel the host cannot
+// run is skipped with the reason, never passed: gemm_s8_u8 would quietly
+// run kMaddS16 in its place.
+class Int8KernelTest : public ::testing::TestWithParam<tensor::Int8Kernel> {
+ protected:
+  void SetUp() override {
+    if (!tensor::int8_kernel_supported(GetParam())) {
+      GTEST_SKIP() << "this host or build cannot run the "
+                   << tensor::int8_kernel_name(GetParam()) << " kernel";
+    }
+  }
+};
+
+TEST_P(Int8KernelTest, MatchesIntegerReferenceWithStridesAndTails) {
+  for (const StridedCase& c : kStridedCases) {
+    const StridedOperands ops = strided_operands(c, 73 + static_cast<std::uint64_t>(c.k));
+    std::vector<std::int32_t> out(static_cast<std::size_t>(c.m * c.n), -1);
+    tensor::gemm_s8_u8(GetParam(), ops.a.data(), c.lda, ops.b.data(), c.ldb, out.data(),
+                       c.m, c.k, c.n);
+    EXPECT_EQ(out, strided_reference(c, ops))
+        << "m=" << c.m << " k=" << c.k << " n=" << c.n << " lda=" << c.lda << " ldb=" << c.ldb;
+  }
+}
+
+TEST_P(Int8KernelTest, ExactAtFullScaleCorners) {
+  // 255 x (+/-127) in every lane at the widest conv K of the model zoo: a
+  // saturating kernel (maddubs, vpdpbusds) would clip these sums.
+  const std::int64_t m = 5, k = 1152, n = 4;
+  std::vector<std::uint8_t> b(static_cast<std::size_t>(n * k), 255);
+  std::vector<std::int8_t> a(static_cast<std::size_t>(m * k));
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      std::int8_t v = 127;
+      if (i == 1) v = -127;
+      if (i == 2) v = (p % 2 == 0) ? 127 : -127;
+      if (i == 3) v = (p % 8 < 4) ? -127 : 127;
+      if (i == 4) v = -128;
+      a[static_cast<std::size_t>(i * k + p)] = v;
+    }
+  }
+  std::vector<std::int32_t> out(static_cast<std::size_t>(m * n), -1);
+  tensor::gemm_s8_u8(GetParam(), a.data(), k, b.data(), k, out.data(), m, k, n);
+  for (std::int64_t j = 0; j < n; ++j) {
+    EXPECT_EQ(out[static_cast<std::size_t>(0 * n + j)], k * 255 * 127);
+    EXPECT_EQ(out[static_cast<std::size_t>(1 * n + j)], -k * 255 * 127);
+    EXPECT_EQ(out[static_cast<std::size_t>(2 * n + j)], 0);
+    EXPECT_EQ(out[static_cast<std::size_t>(3 * n + j)], 0);
+    EXPECT_EQ(out[static_cast<std::size_t>(4 * n + j)], -k * 255 * 128);
+  }
+}
+
+TEST_P(Int8KernelTest, ThreadCountInvariant) {
+  const StridedCase c{53, 300, 11, 304, 320};
+  const StridedOperands ops = strided_operands(c, 97);
+  std::vector<std::int32_t> serial(static_cast<std::size_t>(c.m * c.n));
+  std::vector<std::int32_t> parallel(static_cast<std::size_t>(c.m * c.n));
+  util::set_thread_count(1);
+  tensor::gemm_s8_u8(GetParam(), ops.a.data(), c.lda, ops.b.data(), c.ldb, serial.data(),
+                     c.m, c.k, c.n);
+  util::set_thread_count(4);
+  tensor::gemm_s8_u8(GetParam(), ops.a.data(), c.lda, ops.b.data(), c.ldb, parallel.data(),
+                     c.m, c.k, c.n);
+  util::set_thread_count(1);
+  EXPECT_EQ(serial, parallel);
+  EXPECT_EQ(serial, strided_reference(c, ops));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKernels, Int8KernelTest,
+    ::testing::Values(tensor::Int8Kernel::kMaddS16, tensor::Int8Kernel::kAvxVnni,
+                      tensor::Int8Kernel::kAvx512Vnni),
+    [](const ::testing::TestParamInfo<tensor::Int8Kernel>& info) {
+      return std::string(tensor::int8_kernel_name(info.param));
+    });
+
 // --- Quantization primitives ---
 
 TEST(QuantPrimitives, WeightQuantizationPerChannel) {
-  // Row 0: amax 2.0 -> scale 2/127; row 1: all zero -> scale 1.0.
+  // Row 0: amax 2.0 -> scale 2/127; row 1: all zero -> scale 1.0.  Each
+  // kernel's weight form holds the same values and keeps no second copy.
   const float w[] = {2.0f, -1.0f, 0.5f, 0.0f, 0.0f, 0.0f};
-  const tensor::quant::QuantizedWeights q =
-      tensor::quant::quantize_weights_per_channel(w, 2, 3);
-  EXPECT_EQ(q.rows, 2);
-  EXPECT_EQ(q.cols, 3);
-  EXPECT_FLOAT_EQ(q.scales[0], 2.0f / 127.0f);
-  EXPECT_EQ(q.data[0], 127);
-  EXPECT_EQ(q.data[1], -64);  // lround(-1 * 127 / 2) = -64 (half away from zero)
-  EXPECT_EQ(q.data[2], 32);   // lround(0.5 * 127 / 2)
-  EXPECT_EQ(q.row_sums[0], 127 - 64 + 32);
-  EXPECT_FLOAT_EQ(q.scales[1], 1.0f);
-  EXPECT_EQ(q.data[3], 0);
-  EXPECT_EQ(q.row_sums[1], 0);
+  for (const tensor::Int8Kernel kernel :
+       {tensor::Int8Kernel::kMaddS16, tensor::Int8Kernel::kAvxVnni}) {
+    SCOPED_TRACE(tensor::int8_kernel_name(kernel));
+    const tensor::quant::QuantizedWeights q =
+        tensor::quant::quantize_weights_per_channel(w, 2, 3, kernel);
+    EXPECT_EQ(q.rows, 2);
+    EXPECT_EQ(q.cols, 3);
+    EXPECT_EQ(q.cols16, tensor::simd::kDotBytes);
+    const bool s16 = kernel == tensor::Int8Kernel::kMaddS16;
+    EXPECT_EQ(q.data16.size(), s16 ? static_cast<std::size_t>(2 * q.cols16) : 0u);
+    EXPECT_EQ(q.data8.size(), s16 ? 0u : static_cast<std::size_t>(2 * q.cols16));
+    EXPECT_FLOAT_EQ(q.scales[0], 2.0f / 127.0f);
+    EXPECT_EQ(q.at(0, 0), 127);
+    EXPECT_EQ(q.at(0, 1), -64);  // lround(-1 * 127 / 2) = -64 (half away from zero)
+    EXPECT_EQ(q.at(0, 2), 32);   // lround(0.5 * 127 / 2)
+    EXPECT_EQ(q.row_sums[0], 127 - 64 + 32);
+    EXPECT_FLOAT_EQ(q.scales[1], 1.0f);
+    EXPECT_EQ(q.at(1, 0), 0);
+    EXPECT_EQ(q.row_sums[1], 0);
+    for (std::int64_t r = 0; r < 2; ++r)
+      for (std::int64_t j = q.cols; j < q.cols16; ++j) EXPECT_EQ(q.at(r, j), 0);
+  }
+}
+
+TEST(QuantPrimitives, GemmWeightsMatchesReferenceInEveryForm) {
+  // Both weight forms (s16, and s8 on whatever kernel this host runs) on a
+  // conv-shaped layer: K = 27 padded to 32, activation rows at the padded
+  // stride with junk in the pad (the zero weight lanes must annihilate it),
+  // and the unpadded linear-layer call that walks the true K.
+  const std::int64_t rows = 10, cols = 27, n = 14;
+  util::Rng rng(5);
+  std::vector<float> w(static_cast<std::size_t>(rows * cols));
+  for (auto& v : w) v = rng.next_float() * 2.0f - 1.0f;
+  for (const tensor::Int8Kernel kernel :
+       {tensor::Int8Kernel::kMaddS16, tensor::Int8Kernel::kAvxVnni}) {
+    SCOPED_TRACE(tensor::int8_kernel_name(kernel));
+    const tensor::quant::QuantizedWeights q =
+        tensor::quant::quantize_weights_per_channel(w.data(), rows, cols, kernel);
+    for (const std::int64_t k : {q.cols16, cols}) {
+      const std::int64_t ldb = k;
+      const std::vector<std::uint8_t> b = random_u8(n * ldb, 23);
+      std::vector<std::int32_t> acc(static_cast<std::size_t>(rows * n), -1);
+      tensor::quant::gemm_weights(q, b.data(), ldb, acc.data(), k, n);
+      for (std::int64_t o = 0; o < rows; ++o) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          std::int32_t ref = 0;
+          for (std::int64_t p = 0; p < cols; ++p)
+            ref += q.at(o, p) * static_cast<std::int32_t>(b[static_cast<std::size_t>(j * ldb + p)]);
+          EXPECT_EQ(acc[static_cast<std::size_t>(o * n + j)], ref)
+              << "k=" << k << " at (" << o << "," << j << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST(QuantPrimitives, ActivationRoundTripBoundedByHalfScale) {
