@@ -1,12 +1,11 @@
-// Inference throughput: legacy allocating forward vs the planned engine.
+// Inference throughput of the planned engine.
 //
 // For every zoo model and paper cut point this harness extracts features
-// from the same dataset twice — once through the pre-plan code path
-// (BatchIterator gather + Sequential::forward_to, reproduced here verbatim)
-// and once through an InferencePlan — and reports samples/sec for both,
-// the speedup, and the plan's workspace budget (shape-inferred estimate and
-// observed high water).  Outputs are cross-checked bitwise: any divergence
-// is a correctness bug and fails the bench.
+// from one dataset through an InferencePlan and reports samples/sec and the
+// plan's workspace budget (shape-inferred estimate and observed high water).
+// Before timing, the extraction is run at 1 thread and at the host's thread
+// count; the two outputs must be bitwise identical (the f32 kernels fix
+// every accumulation order), and any divergence fails the bench.
 //
 // Results land on stdout as a table and in BENCH_inference.json (one record
 // per model x cut) for the driver/CI to scrape.
@@ -24,33 +23,18 @@
 #include "nn/plan.hpp"
 #include "tensor/simd.hpp"
 #include "util/cli.hpp"
-#include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace nshd;
 
-/// The pre-plan extraction loop, kept bit-for-bit: unshuffled BatchIterator
-/// (per-batch gather copy), allocating forward_to, memcpy into the rows.
-tensor::Tensor legacy_extract(models::ZooModel& model, std::size_t cut,
-                              const data::Dataset& dataset,
-                              std::int64_t batch_size) {
-  const std::int64_t f = model.feature_dim_at(cut);
-  tensor::Tensor values(tensor::Shape{dataset.size(), f});
-  util::Rng rng(1);
-  data::BatchIterator batches(dataset, batch_size, rng, /*shuffle=*/false);
-  tensor::Tensor images;
-  std::vector<std::int64_t> labels;
-  std::int64_t row = 0;
-  while (batches.next(images, labels)) {
-    const tensor::Tensor activations = model.net.forward_to(images, cut);
-    std::memcpy(values.data() + row * f, activations.data(),
-                static_cast<std::size_t>(activations.numel()) * sizeof(float));
-    row += activations.shape()[0];
-  }
-  return values;
+bool same_bits(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
 template <typename Fn>
@@ -67,7 +51,6 @@ double best_seconds(int reps, Fn&& fn) {
 struct Record {
   std::string model;
   std::size_t cut = 0;
-  double legacy_sps = 0.0;
   double planned_sps = 0.0;
   std::size_t planned_bytes = 0;
   std::size_t peak_bytes = 0;
@@ -90,8 +73,9 @@ int main(int argc, char** argv) {
   std::vector<std::string> names = models::zoo_model_names();
   if (args.has("models")) names = {args.get("models", "")};
 
-  util::Table table({"model", "cut", "legacy sps", "planned sps", "speedup",
-                     "planned ws KiB", "peak ws KiB"});
+  const int host_threads = util::thread_count();
+  util::Table table({"model", "cut", "planned sps", "planned ws KiB",
+                     "peak ws KiB"});
   std::vector<Record> records;
   bool mismatch = false;
 
@@ -100,44 +84,42 @@ int main(int argc, char** argv) {
     for (const std::size_t cut : model.paper_cut_layers) {
       nn::InferencePlan plan(model.net, model.input_chw, cut, batch);
 
-      // Warm-up + parity: both paths must agree bitwise before timing.
-      const tensor::Tensor legacy = legacy_extract(model, cut, dataset, batch);
+      // Warm-up + gate: 1 thread and the host's threads agree bitwise.
+      util::set_thread_count(1);
+      const core::ExtractedFeatures serial =
+          core::extract_features(plan, dataset, batch);
+      util::set_thread_count(host_threads);
       const core::ExtractedFeatures planned =
           core::extract_features(plan, dataset, batch);
-      if (legacy.numel() != planned.values.numel() ||
-          std::memcmp(legacy.data(), planned.values.data(),
-                      static_cast<std::size_t>(legacy.numel()) * sizeof(float)) != 0) {
-        std::fprintf(stderr, "FATAL: %s cut=%zu planned != legacy\n",
-                     name.c_str(), cut);
+      if (!same_bits(serial.values, planned.values)) {
+        std::fprintf(stderr, "FATAL: %s cut=%zu output differs at 1 vs %d threads\n",
+                     name.c_str(), cut, host_threads);
         mismatch = true;
         continue;
       }
 
-      const double legacy_s = best_seconds(
-          reps, [&] { legacy_extract(model, cut, dataset, batch); });
       const double planned_s = best_seconds(
           reps, [&] { core::extract_features(plan, dataset, batch); });
 
       Record rec;
       rec.model = name;
       rec.cut = cut;
-      rec.legacy_sps = n / legacy_s;
       rec.planned_sps = n / planned_s;
       rec.planned_bytes = plan.planned_workspace_bytes();
       rec.peak_bytes = plan.peak_workspace_bytes();
       records.push_back(rec);
 
       table.add_row({name, util::cell(static_cast<int>(cut)),
-                     util::cell(rec.legacy_sps, 1),
                      util::cell(rec.planned_sps, 1),
-                     util::cell(rec.planned_sps / rec.legacy_sps, 2) + "x",
                      util::cell(static_cast<double>(rec.planned_bytes) / 1024.0, 1),
                      util::cell(static_cast<double>(rec.peak_bytes) / 1024.0, 1)});
     }
   }
 
-  std::printf("\n== inference throughput, batch %lld (bitwise parity verified) ==\n%s",
-              static_cast<long long>(batch), table.to_string().c_str());
+  std::printf("\n== inference throughput, batch %lld, %d threads (1-vs-%d-thread "
+              "bitwise parity verified) ==\n%s",
+              static_cast<long long>(batch), host_threads, host_threads,
+              table.to_string().c_str());
 
   if (std::FILE* out = std::fopen(json_path.c_str(), "w")) {
     {
@@ -145,15 +127,14 @@ int main(int argc, char** argv) {
       json.begin_object();
       json.field("isa", tensor::simd::kIsaName);
       json.field("batch", batch);
+      json.field("threads", host_threads);
       json.field("samples", dataset.size());
       json.begin_array("results");
       for (const Record& r : records) {
         json.begin_object();
         json.field("model", r.model);
         json.field("cut", r.cut);
-        json.field("legacy_samples_per_sec", r.legacy_sps, 2);
         json.field("planned_samples_per_sec", r.planned_sps, 2);
-        json.field("speedup", r.planned_sps / r.legacy_sps, 3);
         json.field("planned_workspace_bytes", r.planned_bytes);
         json.field("peak_workspace_bytes", r.peak_bytes);
         json.end_object();

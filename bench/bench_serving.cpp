@@ -1,29 +1,23 @@
-// Serving throughput: dynamic batching vs single-request execution.
+// Serving throughput: dynamic batching vs one request per forward.
 //
-// This harness measures what serve::Engine exists to buy — request
+// This harness measures what serve::Engine's batch former buys — request
 // throughput under concurrent traffic.  For each zoo model it trains one
 // NSHD head, then offers the same closed-loop load (S client threads, each
-// submit -> wait -> repeat) to three serving configurations:
+// submit -> wait -> repeat) to two serving configurations:
 //
-//   single       thread-per-request baseline: each client runs the whole
-//                pipeline itself — allocating Sequential::forward_to, then
-//                per-query symbolize + similarities.  No plans, no
-//                workspaces, no batching: serving as it looks without this
-//                subsystem.
 //   warm-single  serve::Engine with max_batch = 1: warm plans and pooled
 //                workspaces, but every request is still its own forward.
-//                Isolates the preallocation win from the batching win.
 //   batched      serve::Engine with max_batch = S: the batch former
 //                coalesces concurrent requests into one planned forward
 //                plus one batched HD pass.
 //
-// All three serve identical in-flight load, so by Little's law QPS and
-// latency differences come from the compute path alone.  Responses are
-// known bitwise-identical between the two engine modes (tested in
-// serve_test), so this bench measures speed only.  The batching margin
-// scales with core count: on a single-core host it comes purely from
-// amortizing allocation, dispatch, and weight-streaming overheads; with
-// idle cores the shared pool widens it further.
+// Both serve identical in-flight load, so by Little's law QPS and latency
+// differences come from the compute path alone.  Responses are known
+// bitwise-identical between the two engine modes (tested in serve_test), so
+// this bench measures speed only.  The batching margin scales with core
+// count: on a single-core host it comes purely from amortizing dispatch and
+// weight-streaming overheads; with idle cores the shared pool widens it
+// further.
 //
 // Results land on stdout as a table and in BENCH_serving.json (one record
 // per model x mode) for the driver/CI to scrape.
@@ -159,69 +153,9 @@ ModeResult drive(serve::Engine& engine, const std::string& model_id,
   return result;
 }
 
-/// Thread-per-request baseline: `submitters` client threads each run the
-/// full unbatched pipeline per request — allocating forward, single-query
-/// symbolize + similarities.  Eval-mode forwards are pure reads, so
-/// concurrent clients are safe (contended parallel_for callers run inline).
-ModeResult drive_naive(serve::ModelBundle& bundle, const data::Dataset& requests,
-                       int submitters, double seconds) {
-  const hd::Similarity metric = bundle.nshd.config().similarity;
-  {  // warm-up
-    tensor::Tensor image = requests.sample(0);
-    const tensor::Tensor activations = bundle.zoo.net.forward_to(image, bundle.cut);
-    (void)bundle.nshd.classifier().similarities(
-        bundle.nshd.symbolize(activations.data()), metric);
-  }
-  std::mutex latency_mutex;
-  std::vector<double> latencies;
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> completed{0};
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(submitters));
-  util::Stopwatch watch;
-  for (int t = 0; t < submitters; ++t) {
-    threads.emplace_back([&, t] {
-      std::vector<double> local;
-      std::int64_t i = t;
-      while (!stop.load(std::memory_order_relaxed)) {
-        util::Stopwatch request_watch;
-        tensor::Tensor image = requests.sample(i++ % requests.size());
-        const tensor::Tensor activations =
-            bundle.zoo.net.forward_to(image, bundle.cut);
-        const std::vector<float> sims = bundle.nshd.classifier().similarities(
-            bundle.nshd.symbolize(activations.data()), metric);
-        (void)sims;
-        local.push_back(request_watch.seconds() * 1e3);
-        completed.fetch_add(1, std::memory_order_relaxed);
-      }
-      std::lock_guard<std::mutex> lock(latency_mutex);
-      latencies.insert(latencies.end(), local.begin(), local.end());
-    });
-  }
-  while (watch.seconds() < seconds)
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  stop.store(true);
-  for (std::thread& thread : threads) thread.join();
-
-  ModeResult result;
-  result.mode = "single";
-  result.max_batch = 1;
-  result.completed = completed.load();
-  result.seconds = watch.seconds();
-  result.qps = static_cast<double>(result.completed) / result.seconds;
-  result.mean_batch = 1.0;
-  std::sort(latencies.begin(), latencies.end());
-  result.p50_ms = percentile(latencies, 0.50);
-  result.p95_ms = percentile(latencies, 0.95);
-  result.p99_ms = percentile(latencies, 0.99);
-  result.p999_ms = percentile(latencies, 0.999);
-  return result;
-}
-
 struct Record {
   std::string model;
   std::size_t cut = 0;
-  ModeResult single;
   ModeResult warm_single;
   ModeResult batched;
 };
@@ -247,7 +181,7 @@ int main(int argc, char** argv) {
 
   util::Table table({"model", "cut", "mode", "max_batch", "qps", "p50 ms",
                      "p95 ms", "p99 ms", "p99.9 ms", "mean batch", "shed",
-                     "speedup"});
+                     "vs warm-single"});
   std::vector<Record> records;
 
   for (const std::string& name : names) {
@@ -258,13 +192,10 @@ int main(int argc, char** argv) {
     const models::ZooModel probe = models::make_model(name, 4, /*seed=*/7);
     const std::size_t cut = probe.paper_cut_layers.back();
 
-    // The three servers stay alive across reps; reps interleave the modes so
-    // slow drifts on shared hosts hit all of them equally, and each mode
-    // reports its best sustained rep (the same best-of discipline as
+    // Both servers stay alive across reps; reps interleave the modes so slow
+    // drifts on shared hosts hit both equally, and each mode reports its
+    // best sustained rep (the same best-of discipline as
     // bench_inference_throughput).
-    std::unique_ptr<serve::ModelBundle> naive_bundle =
-        trained_bundle(name, cut, dataset, 1);
-
     serve::EngineConfig warm_config;
     warm_config.workers = workers;
     warm_config.max_batch = 1;
@@ -283,8 +214,6 @@ int main(int argc, char** argv) {
     record.model = name;
     record.cut = cut;
     for (int rep = 0; rep < reps; ++rep) {
-      const ModeResult naive = drive_naive(*naive_bundle, dataset, submitters, seconds);
-      if (rep == 0 || naive.qps > record.single.qps) record.single = naive;
       const ModeResult warm =
           drive(warm_engine, name, dataset, "warm-single", submitters, seconds);
       if (rep == 0 || warm.qps > record.warm_single.qps) record.warm_single = warm;
@@ -294,9 +223,8 @@ int main(int argc, char** argv) {
     }
     records.push_back(record);
 
-    const double speedup = record.batched.qps / record.single.qps;
-    for (const ModeResult* mode :
-         {&record.single, &record.warm_single, &record.batched}) {
+    const double speedup = record.batched.qps / record.warm_single.qps;
+    for (const ModeResult* mode : {&record.warm_single, &record.batched}) {
       table.add_row({name, util::cell(static_cast<int>(cut)), mode->mode,
                      util::cell(static_cast<int>(mode->max_batch)),
                      util::cell(mode->qps, 1), util::cell(mode->p50_ms, 2),
@@ -325,7 +253,7 @@ int main(int argc, char** argv) {
       const char* sep = i + 1 < records.size() ? "," : "";
       std::fprintf(out, "    {\"model\": \"%s\", \"cut\": %zu, \"modes\": [\n",
                    r.model.c_str(), r.cut);
-      for (const ModeResult* m : {&r.single, &r.warm_single, &r.batched}) {
+      for (const ModeResult* m : {&r.warm_single, &r.batched}) {
         std::fprintf(out,
                      "      {\"mode\": \"%s\", \"max_batch\": %lld, "
                      "\"qps\": %.2f, \"p50_ms\": %.3f, \"p95_ms\": %.3f, "
@@ -345,8 +273,8 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(m->degraded),
                      m == &r.batched ? "" : ",");
       }
-      std::fprintf(out, "    ], \"speedup_qps\": %.3f}%s\n",
-                   r.batched.qps / r.single.qps, sep);
+      std::fprintf(out, "    ], \"batched_over_warm_single_qps\": %.3f}%s\n",
+                   r.batched.qps / r.warm_single.qps, sep);
     }
     std::fprintf(out, "  ]\n}\n");
     std::fclose(out);

@@ -1,14 +1,12 @@
-// Training throughput: the legacy allocating train loop vs the planned
-// zero-alloc path (TrainingPlan + BatchPipeline).
+// Training throughput of the zero-alloc training path (TrainingPlan +
+// BatchPipeline).
 //
-// For every zoo model this harness first proves the migration gates —
-// legacy and planned runs from the same seed must finish with bitwise
-// identical weights, and the planned run must be bitwise invariant across
-// NSHD_THREADS in {1, 4, 8} — and only then times both paths (best-of-reps
-// full runs, fresh model each rep) as epochs/sec.  Legacy is pinned to one
-// thread with a synchronous batch feed; planned runs at the host's thread
-// count with the prefetch pipeline enabled.  Any parity break fails the
-// bench.
+// For every zoo model this harness first proves the determinism gates —
+// runs from the same seed must finish with bitwise identical weights at 1
+// thread and at the host's thread count (synchronous feed), and at
+// NSHD_THREADS 4 and 8 with the prefetch pipeline on — and only then times
+// full runs (best-of-reps, fresh model each rep) as epochs/sec at the host's
+// thread count with prefetch enabled.  Any parity break fails the bench.
 //
 // Results land on stdout as a table and in BENCH_training.json.
 #include <algorithm>
@@ -19,6 +17,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "data/pipeline.hpp"
 #include "data/synth_cifar.hpp"
 #include "models/zoo.hpp"
 #include "nn/train_plan.hpp"
@@ -38,12 +37,10 @@ using namespace nshd;
 /// state bank (params + running stats) for the parity gates.
 std::vector<tensor::Tensor> train_once(const std::string& name,
                                        const data::Dataset& train,
-                                       nn::TrainConfig config, bool planned,
-                                       int threads) {
+                                       nn::TrainConfig config, int threads) {
   util::set_thread_count(threads);
   models::ZooModel model = models::make_model(name, train.num_classes,
                                               /*seed=*/7);
-  config.planned = planned;
   config.learning_rate =
       std::min(config.learning_rate, model.suggested_learning_rate);
   nn::train_classifier(model.net, train, config);
@@ -80,9 +77,7 @@ double best_seconds(int reps, Fn&& fn) {
 
 struct Record {
   std::string model;
-  double legacy_eps = 0.0;   // epochs/sec, legacy path @ 1 thread
-  double planned_eps = 0.0;  // epochs/sec, planned path @ host threads
-  int planned_threads = 1;
+  double planned_eps = 0.0;  // epochs/sec @ host threads
   std::size_t planned_bytes = 0;
   std::size_t peak_bytes = 0;
 };
@@ -110,31 +105,31 @@ int main(int argc, char** argv) {
   const std::vector<std::string> names = nshd::bench::models_from_args(args);
   const int host_threads = util::thread_count();
 
-  util::Table table({"model", "legacy ep/s", "planned ep/s", "speedup",
-                     "planned ws KiB", "peak ws KiB"});
+  util::Table table({"model", "planned ep/s", "planned ws KiB",
+                     "peak ws KiB"});
   std::vector<Record> records;
   bool parity_failure = false;
 
   for (const std::string& name : names) {
-    // Gate 1: legacy and planned share one gradient bitstream, so the final
-    // weights must match bitwise.  Gate 2: the planned accumulation order is
-    // fixed, so the thread count must not change a single bit.
+    // Gate 1: the accumulation order is fixed, so 1 thread and the host's
+    // threads must finish with bitwise identical weights.  Gate 2: the same
+    // holds at 4 and 8 threads with the prefetch pipeline feeding the steps.
     nn::TrainConfig gate = config;
     gate.prefetch_depth = 0;
-    const std::vector<tensor::Tensor> legacy_w =
-        train_once(name, train, gate, /*planned=*/false, /*threads=*/1);
     const std::vector<tensor::Tensor> planned_w1 =
-        train_once(name, train, gate, /*planned=*/true, /*threads=*/1);
-    if (!states_bitwise_equal(legacy_w, planned_w1)) {
-      std::fprintf(stderr, "FATAL: %s planned weights != legacy weights\n",
-                   name.c_str());
+        train_once(name, train, gate, /*threads=*/1);
+    const std::vector<tensor::Tensor> planned_wh =
+        train_once(name, train, gate, host_threads);
+    if (!states_bitwise_equal(planned_w1, planned_wh)) {
+      std::fprintf(stderr, "FATAL: %s weights differ at 1 vs %d threads\n",
+                   name.c_str(), host_threads);
       parity_failure = true;
       continue;
     }
     gate.prefetch_depth = 2;  // the pipeline must not disturb the stream
     for (const int threads : {4, 8}) {
       const std::vector<tensor::Tensor> planned_wt =
-          train_once(name, train, gate, /*planned=*/true, threads);
+          train_once(name, train, gate, threads);
       if (!states_bitwise_equal(planned_w1, planned_wt)) {
         std::fprintf(stderr, "FATAL: %s planned weights differ at %d threads\n",
                      name.c_str(), threads);
@@ -143,25 +138,17 @@ int main(int argc, char** argv) {
     }
     if (parity_failure) continue;
 
-    // Timed runs: legacy @ 1 thread + synchronous feed vs planned @ host
-    // threads + prefetch.
-    nn::TrainConfig legacy_cfg = config;
-    legacy_cfg.prefetch_depth = 0;
-    const double legacy_s = best_seconds(reps, [&] {
-      train_once(name, train, legacy_cfg, /*planned=*/false, /*threads=*/1);
-    });
+    // Timed runs: host threads + prefetch.
     nn::TrainConfig planned_cfg = config;
     planned_cfg.prefetch_depth = 2;
     const double planned_s = best_seconds(reps, [&] {
-      train_once(name, train, planned_cfg, /*planned=*/true, host_threads);
+      train_once(name, train, planned_cfg, host_threads);
     });
     util::set_thread_count(host_threads);
 
     Record rec;
     rec.model = name;
-    rec.legacy_eps = static_cast<double>(epochs) / legacy_s;
     rec.planned_eps = static_cast<double>(epochs) / planned_s;
-    rec.planned_threads = host_threads;
     {
       models::ZooModel probe = models::make_model(name, train.num_classes, 7);
       nn::TrainingPlan plan(probe.net, train.sample_shape(), batch);
@@ -169,24 +156,22 @@ int main(int argc, char** argv) {
       // One step materializes the high-water mark the shape-inferred budget
       // is checked against.
       util::Rng feed_rng(1);
-      data::BatchIterator feed(train, batch, feed_rng, /*shuffle=*/false);
-      tensor::Tensor images;
+      data::BatchPipeline feed(train, batch, feed_rng, /*depth=*/0,
+                               /*shuffle=*/false);
+      tensor::TensorView images;
       std::vector<std::int64_t> labels;
-      if (feed.next(images, labels)) plan.step(images.view(), labels);
+      if (feed.next(images, labels)) plan.step(images, labels);
       rec.peak_bytes = plan.peak_workspace_bytes();
     }
     records.push_back(rec);
 
-    table.add_row({name, util::cell(rec.legacy_eps, 2),
-                   util::cell(rec.planned_eps, 2),
-                   util::cell(rec.planned_eps / rec.legacy_eps, 2) + "x",
+    table.add_row({name, util::cell(rec.planned_eps, 2),
                    util::cell(static_cast<double>(rec.planned_bytes) / 1024.0, 1),
                    util::cell(static_cast<double>(rec.peak_bytes) / 1024.0, 1)});
   }
 
   std::printf("\n== training throughput, %lld epochs x batch %lld, "
-              "%d host thread(s) (bitwise parity + thread invariance "
-              "verified) ==\n%s",
+              "%d host thread(s) (bitwise thread invariance verified) ==\n%s",
               static_cast<long long>(epochs), static_cast<long long>(batch),
               host_threads, table.to_string().c_str());
 
@@ -198,14 +183,12 @@ int main(int argc, char** argv) {
       json.field("epochs", epochs);
       json.field("batch", batch);
       json.field("samples", train.size());
+      json.field("threads", host_threads);
       json.begin_array("results");
       for (const Record& r : records) {
         json.begin_object();
         json.field("model", r.model);
-        json.field("legacy_epochs_per_sec", r.legacy_eps, 3);
         json.field("planned_epochs_per_sec", r.planned_eps, 3);
-        json.field("speedup", r.planned_eps / r.legacy_eps, 3);
-        json.field("planned_threads", r.planned_threads);
         json.field("planned_workspace_bytes", r.planned_bytes);
         json.field("peak_workspace_bytes", r.peak_bytes);
         json.end_object();

@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
   const double cnn_acc = context.cnn_test_accuracy(model_name);
   const hw::CnnCensus cnn_cost = hw::cnn_census(m);
   const auto coeffs = hw::EnergyCoefficients::xavier_like();
-  const double cnn_energy_pj = hw::cnn_energy(cnn_cost, coeffs).total_pj();
 
   std::printf("== %s on SynthCIFAR-10: CNN accuracy %.4f, %s MACs ==\n",
               models::display_name(model_name).c_str(), cnn_acc,

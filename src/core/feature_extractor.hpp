@@ -10,8 +10,7 @@
 // TensorViews straight out of the dataset tensor and activations land
 // directly in the output rows, so the hot loop performs no heap allocation
 // or gather copies.  Batches run in parallel with per-worker workspaces;
-// results are bitwise identical to the legacy allocating forward for any
-// thread count.
+// results are bitwise identical for any thread count.
 #pragma once
 
 #include <cstdint>

@@ -147,45 +147,31 @@ hd::Hypervector NshdModel::symbolize(const float* features) const {
 }
 
 std::vector<hd::Hypervector> NshdModel::symbolize_all(
-    const ExtractedFeatures& features) const {
+    const ExtractedFeatures& features, std::vector<RowHealth>* health) const {
   const std::int64_t n = features.values.shape()[0];
   const std::int64_t f = features.values.shape()[1];
   std::vector<hd::Hypervector> out(static_cast<std::size_t>(n));
-  // Sample-parallel like RandomProjection::encode_all: symbolize() is const
-  // and mutation-free, samples write disjoint slots, and the fixed grain
-  // keeps out[i] bitwise identical to the serial loop for any NSHD_THREADS.
-  util::parallel_for(0, n, /*grain=*/1, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      out[static_cast<std::size_t>(i)] =
-          symbolize(features.values.data() + i * f);
-    }
-  });
-  return out;
-}
-
-std::vector<hd::Hypervector> NshdModel::symbolize_all_checked(
-    const ExtractedFeatures& features, std::vector<RowHealth>& health) const {
-  const std::int64_t n = features.values.shape()[0];
-  const std::int64_t f = features.values.shape()[1];
-  std::vector<hd::Hypervector> out(static_cast<std::size_t>(n));
-  health.assign(static_cast<std::size_t>(n), RowHealth::kClean);
-  // Same sample-parallel schedule as symbolize_all; rows write disjoint
-  // slots of `out` and `health`, so results stay thread-count invariant.
+  if (health != nullptr)
+    health->assign(static_cast<std::size_t>(n), RowHealth::kClean);
+  // Sample-parallel like RandomProjection::encode_all: the manifold and
+  // projection are const and mutation-free, rows write disjoint slots of
+  // `out` and `health`, and the fixed grain keeps out[i] bitwise identical to
+  // the serial loop for any NSHD_THREADS.
   util::parallel_for(0, n, /*grain=*/1, [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t i = b; i < e; ++i) {
       const float* row = features.values.data() + i * f;
-      auto& row_health = health[static_cast<std::size_t>(i)];
-      if (!tensor::all_finite(row, f)) row_health = RowHealth::kBadFeatures;
-      if (manifold_) {
-        const tensor::Tensor psi = manifold_->forward(row);
-        if (row_health == RowHealth::kClean &&
-            !tensor::all_finite(psi.data(), psi.numel())) {
-          row_health = RowHealth::kBadEncoding;
-        }
-        out[static_cast<std::size_t>(i)] = projection_.encode(psi.data());
-      } else {
-        out[static_cast<std::size_t>(i)] = projection_.encode(row);
+      const auto slot = static_cast<std::size_t>(i);
+      if (health != nullptr && !tensor::all_finite(row, f))
+        (*health)[slot] = RowHealth::kBadFeatures;
+      if (!manifold_) {
+        out[slot] = projection_.encode(row);
+        continue;
       }
+      const tensor::Tensor psi = manifold_->forward(row);
+      if (health != nullptr && (*health)[slot] == RowHealth::kClean &&
+          !tensor::all_finite(psi.data(), psi.numel()))
+        (*health)[slot] = RowHealth::kBadEncoding;
+      out[slot] = projection_.encode(psi.data());
     }
   });
   return out;

@@ -108,11 +108,8 @@ class NshdModel {
   /// Symbolization Phi_P(Psi(features)) of one raw feature row.
   hd::Hypervector symbolize(const float* features) const;
 
-  /// Symbolizes every row of a feature matrix.
-  std::vector<hd::Hypervector> symbolize_all(const ExtractedFeatures& features) const;
-
   /// Per-row numeric health of the symbolization pipeline, reported by
-  /// symbolize_all_checked.  The distinction matters for degradation: bad
+  /// symbolize_all when asked.  The distinction matters for degradation: bad
   /// *features* poison every downstream path (no honest answer exists), while
   /// a bad *encoding* (non-finite manifold output from corrupt FC weights)
   /// can still be served by a manifold-free HD fallback over the same raw
@@ -123,16 +120,18 @@ class NshdModel {
     kBadEncoding = 2,  // manifold output non-finite (features were clean)
   };
 
-  /// symbolize_all with a numeric-health scan of each encoder input.  The
-  /// sign quantization inside hd::RandomProjection::encode silently absorbs
-  /// NaN (any comparison with NaN is false), so non-finite values must be
-  /// caught *before* encoding — this is the only place the serving engine
-  /// can see them.  Hypervectors are produced for every row (poison rows
-  /// included) so the output stays batch-shaped; health[i] tells the caller
-  /// which rows to quarantine.  Bitwise identical to symbolize_all on clean
-  /// rows for any thread count.
-  std::vector<hd::Hypervector> symbolize_all_checked(
-      const ExtractedFeatures& features, std::vector<RowHealth>& health) const;
+  /// Symbolizes every row of a feature matrix.  With `health`, each encoder
+  /// input also gets a numeric-health scan: the sign quantization inside
+  /// hd::RandomProjection::encode silently absorbs NaN (any comparison with
+  /// NaN is false), so non-finite values must be caught *before* encoding —
+  /// this is the only place the serving engine can see them.  Hypervectors
+  /// are produced for every row (poison rows included) so the output stays
+  /// batch-shaped; (*health)[i] tells the caller which rows to quarantine.
+  /// Without `health` no scan runs.  The hypervectors are bitwise identical
+  /// either way, for any thread count.
+  std::vector<hd::Hypervector> symbolize_all(
+      const ExtractedFeatures& features,
+      std::vector<RowHealth>* health = nullptr) const;
 
   /// True when every trainable value (manifold FC weights/bias and the class
   /// bank) is finite.  Serving gates registration and checkpoint reload on

@@ -12,8 +12,9 @@
 // BatchIterator (one shuffle at construction, one per reset(), both on the
 // calling thread) and batches are handed out strictly in epoch order, so the
 // batch stream is bitwise identical at every prefetch depth, thread count,
-// and to the legacy iterator.  Single consumer only: next()/reset() must be
-// called from one thread.
+// and to BatchIterator (kept as the reference the pipeline is tested
+// against).  Single consumer only: next()/reset() must be called from one
+// thread.
 //
 // Fault site: "train.prefetch_stall" delays a batch fill (~25 ms), modeling
 // a slow producer; consumers must block, not skip or reorder.

@@ -84,9 +84,7 @@ ZooModel pretrained_model(const std::string& name, const data::Dataset& train_se
                 name.c_str(), static_cast<long long>(train_set.size()),
                 static_cast<long long>(train_set.num_classes));
   util::Stopwatch watch;
-  // Pretraining rides the planned zero-alloc path by default
-  // (TrainConfig::planned); the cache keys stay valid across the legacy /
-  // planned switch because both paths produce bitwise-identical weights.
+  // Pretraining runs the zero-alloc nn::TrainingPlan step.
   nn::train_classifier(model.net, train_set, effective.train, on_epoch,
                        resume ? &*resume : nullptr);
   NSHD_LOG_INFO("%s: pretraining done in %.1fs", name.c_str(), watch.seconds());

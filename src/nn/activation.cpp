@@ -43,16 +43,6 @@ float activate_grad(Activation act, float x) {
   return 0.0f;
 }
 
-Tensor ActivationLayer::forward(const Tensor& input, bool training) {
-  if (training) cached_input_ = input;
-  Tensor output(input.shape());
-  const float* in = input.data();
-  float* out = output.data();
-  const std::int64_t n = input.numel();
-  for (std::int64_t i = 0; i < n; ++i) out[i] = activate(act_, in[i]);
-  return output;
-}
-
 void ActivationLayer::forward_into(const TensorView& in, TensorView out,
                                    Workspace& scratch) {
   (void)scratch;
@@ -138,22 +128,6 @@ void ActivationLayer::backward_into(const TensorView& in,
       });
       break;
   }
-}
-
-Tensor ActivationLayer::backward(const Tensor& grad_output) {
-  if (cached_input_.empty())
-    throw TrainingStateError(name() +
-                             "::backward before forward(training=true)");
-  if (grad_output.shape() != cached_input_.shape())
-    throw TrainingStateError(name() + "::backward: grad_output shape " +
-                             grad_output.shape().to_string() +
-                             " does not match the cached batch " +
-                             cached_input_.shape().to_string());
-  Tensor grad_input(grad_output.shape());
-  Workspace& ws = legacy_train_workspace();
-  ws.reset();
-  backward_into(cached_input_.view(), grad_output.view(), grad_input.view(), ws);
-  return grad_input;
 }
 
 }  // namespace nshd::nn

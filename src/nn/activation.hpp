@@ -14,8 +14,6 @@ class ActivationLayer final : public Layer {
  public:
   explicit ActivationLayer(Activation act) : act_(act) {}
 
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   void forward_into(const TensorView& in, TensorView out,
                     Workspace& scratch) override;
   void backward_into(const TensorView& in, const TensorView& grad_out,
@@ -29,7 +27,6 @@ class ActivationLayer final : public Layer {
 
  private:
   Activation act_;
-  Tensor cached_input_;
 };
 
 /// Scalar activation evaluations, shared with SE-block internals.

@@ -141,34 +141,6 @@ void BatchNorm2d::forward_train_impl(const float* in, float* out,
   });
 }
 
-Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
-  assert(input.shape().rank() == 4 && input.shape()[1] == channels_);
-  const std::int64_t batch = input.shape()[0];
-  const std::int64_t hw = input.shape()[2] * input.shape()[3];
-
-  Tensor output(input.shape());
-  if (training) {
-    cached_input_ = input;
-    forward_train_impl(input.data(), output.data(), batch, hw);
-    return output;
-  }
-  for (std::int64_t c = 0; c < channels_; ++c) {
-    const float mean_c = running_mean_[c];
-    const float var_c = running_var_[c];
-    const float inv_std = 1.0f / std::sqrt(var_c + epsilon_);
-    const float g = gamma_.value[c], b = beta_.value[c];
-    for (std::int64_t n = 0; n < batch; ++n) {
-      const float* in_plane = input.data() + (n * channels_ + c) * hw;
-      float* out_plane = output.data() + (n * channels_ + c) * hw;
-      for (std::int64_t i = 0; i < hw; ++i) {
-        const float x_hat = (in_plane[i] - mean_c) * inv_std;
-        out_plane[i] = g * x_hat + b;
-      }
-    }
-  }
-  return output;
-}
-
 void BatchNorm2d::forward_into(const TensorView& in, TensorView out,
                                Workspace& scratch) {
   (void)scratch;
@@ -177,8 +149,8 @@ void BatchNorm2d::forward_into(const TensorView& in, TensorView out,
   const std::int64_t batch = in.shape()[0];
   const std::int64_t hw = in.shape()[2] * in.shape()[3];
 
-  // Eval path of forward(): running statistics only, safe in-place because
-  // each element is read once before being written.
+  // Eval normalization: running statistics only, safe in-place because each
+  // element is read once before being written.
   for (std::int64_t c = 0; c < channels_; ++c) {
     const float mean_c = running_mean_[c];
     const float var_c = running_var_[c];
@@ -254,23 +226,6 @@ void BatchNorm2d::backward_into(const TensorView& in,
       }
     }
   });
-}
-
-Tensor BatchNorm2d::backward(const Tensor& grad_output) {
-  if (cached_input_.empty())
-    throw TrainingStateError(name() +
-                             "::backward before forward(training=true)");
-  if (grad_output.shape() != cached_input_.shape())
-    throw TrainingStateError(name() + "::backward: grad_output shape " +
-                             grad_output.shape().to_string() +
-                             " does not match the cached batch " +
-                             cached_input_.shape().to_string());
-  Tensor grad_input(cached_input_.shape());
-  Workspace& ws = legacy_train_workspace();
-  ws.reset();
-  backward_into(cached_input_.view(), grad_output.view(), grad_input.view(),
-                ws);
-  return grad_input;
 }
 
 std::vector<Param*> BatchNorm2d::params() { return {&gamma_, &beta_}; }

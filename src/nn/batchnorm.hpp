@@ -10,8 +10,6 @@ class BatchNorm2d final : public Layer {
   explicit BatchNorm2d(std::int64_t channels, float momentum = 0.1f,
                        float epsilon = 1e-5f);
 
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   void forward_into(const TensorView& in, TensorView out,
                     Workspace& scratch) override;
   void forward_train_into(const TensorView& in, TensorView out,
@@ -39,8 +37,7 @@ class BatchNorm2d final : public Layer {
   }
 
  private:
-  /// Training forward shared by forward() and forward_train_into(): computes
-  /// batch statistics into saved_mean_/saved_inv_std_, folds them into the
+  /// Training forward behind forward_train_into(): computes batch statistics into saved_mean_/saved_inv_std_, folds them into the
   /// running stats, and normalizes.  Channels are independent (one writer per
   /// channel everywhere), so the per-channel shard is bitwise invariant.
   void forward_train_impl(const float* in, float* out, std::int64_t batch,
@@ -54,8 +51,6 @@ class BatchNorm2d final : public Layer {
   // x_hat = (x - mean) * inv_std from them with the exact forward expression,
   // so no [N, C, H, W] normalized cache is needed.
   Tensor saved_mean_, saved_inv_std_;
-  // Legacy-path cache (planned path passes the pinned activation instead).
-  Tensor cached_input_;
 };
 
 }  // namespace nshd::nn

@@ -23,55 +23,6 @@ SqueezeExcite::SqueezeExcite(std::int64_t channels, std::int64_t reduced,
   kaiming_normal(w2_.value, reduced, rng);
 }
 
-Tensor SqueezeExcite::forward(const Tensor& input, bool training) {
-  assert(input.shape().rank() == 4 && input.shape()[1] == channels_);
-  const std::int64_t batch = input.shape()[0];
-  const std::int64_t hw = input.shape()[2] * input.shape()[3];
-
-  Tensor pooled(Shape{batch, channels_});
-  for (std::int64_t n = 0; n < batch; ++n) {
-    for (std::int64_t c = 0; c < channels_; ++c) {
-      const float* plane = input.data() + (n * channels_ + c) * hw;
-      double sum = 0.0;
-      for (std::int64_t i = 0; i < hw; ++i) sum += plane[i];
-      pooled.at(n, c) = static_cast<float>(sum / hw);
-    }
-  }
-
-  Tensor hidden(Shape{batch, reduced_});
-  tensor::gemm_bt(pooled.data(), w1_.value.data(), hidden.data(), batch,
-                  channels_, reduced_);
-  for (std::int64_t n = 0; n < batch; ++n)
-    for (std::int64_t r = 0; r < reduced_; ++r) hidden.at(n, r) += b1_.value[r];
-
-  Tensor hidden_act(Shape{batch, reduced_});
-  for (std::int64_t i = 0; i < hidden.numel(); ++i)
-    hidden_act[i] = activate(act_, hidden[i]);
-
-  Tensor gate_pre(Shape{batch, channels_});
-  tensor::gemm_bt(hidden_act.data(), w2_.value.data(), gate_pre.data(), batch,
-                  reduced_, channels_);
-  for (std::int64_t n = 0; n < batch; ++n)
-    for (std::int64_t c = 0; c < channels_; ++c) gate_pre.at(n, c) += b2_.value[c];
-
-  Tensor gate(Shape{batch, channels_});
-  for (std::int64_t i = 0; i < gate.numel(); ++i)
-    gate[i] = activate(Activation::kSigmoid, gate_pre[i]);
-
-  Tensor output(input.shape());
-  for (std::int64_t n = 0; n < batch; ++n) {
-    for (std::int64_t c = 0; c < channels_; ++c) {
-      const float s = gate.at(n, c);
-      const float* in_plane = input.data() + (n * channels_ + c) * hw;
-      float* out_plane = output.data() + (n * channels_ + c) * hw;
-      for (std::int64_t i = 0; i < hw; ++i) out_plane[i] = in_plane[i] * s;
-    }
-  }
-
-  if (training) cached_input_ = input;
-  return output;
-}
-
 void SqueezeExcite::forward_into(const TensorView& in, TensorView out,
                                  Workspace& scratch) {
   assert(in.shape().rank() == 4 && in.shape()[1] == channels_);
@@ -79,8 +30,8 @@ void SqueezeExcite::forward_into(const TensorView& in, TensorView out,
   const std::int64_t batch = in.shape()[0];
   const std::int64_t hw = in.shape()[2] * in.shape()[3];
 
-  // Same op order as forward(); the gate is fully computed from the input
-  // before the scale loop, so running in place over `in` is safe.
+  // The gate is fully computed from the input before the scale loop, so
+  // running in place over `in` is safe.
   Workspace::Frame frame(scratch);
   float* pooled = scratch.alloc(batch * channels_);
   float* hidden = scratch.alloc(batch * reduced_);
@@ -160,9 +111,9 @@ void SqueezeExcite::backward_into(const TensorView& in,
   float* grad_hidden = ws.alloc(batch * reduced_);
   float* grad_pooled = ws.alloc(batch * channels_);
 
-  // Recompute the forward intermediates with the exact forward expressions —
-  // same inputs, same op order, so every value is bitwise equal to what a
-  // cached-tensor implementation would have stored.
+  // Recompute the forward intermediates with the exact forward_into
+  // expressions — same inputs, same op order, so every value is bitwise equal
+  // to what a cached-tensor implementation would have stored.
   util::parallel_for(0, batch * channels_, kTrainSampleGrain,
                      [&](std::int64_t pb, std::int64_t pe) {
     for (std::int64_t p = pb; p < pe; ++p) {
@@ -246,23 +197,6 @@ void SqueezeExcite::backward_into(const TensorView& in,
   });
 }
 
-Tensor SqueezeExcite::backward(const Tensor& grad_output) {
-  if (cached_input_.empty())
-    throw TrainingStateError(name() +
-                             "::backward before forward(training=true)");
-  if (grad_output.shape() != cached_input_.shape())
-    throw TrainingStateError(name() + "::backward: grad_output shape " +
-                             grad_output.shape().to_string() +
-                             " does not match the cached batch " +
-                             cached_input_.shape().to_string());
-  Tensor grad_input(cached_input_.shape());
-  Workspace& ws = legacy_train_workspace();
-  ws.reset();
-  backward_into(cached_input_.view(), grad_output.view(), grad_input.view(),
-                ws);
-  return grad_input;
-}
-
 std::int64_t SqueezeExcite::macs_per_sample(const Shape& input_chw) const {
   (void)input_chw;
   // Two small FCs plus the channel-wise scale.
@@ -290,17 +224,6 @@ MBConvBlock::MBConvBlock(const MBConvConfig& config, util::Rng& rng)
   }
   body_.emplace<Conv2d>(expanded, config.out_channels, 1, 1, 0, /*bias=*/false, rng);
   body_.emplace<BatchNorm2d>(config.out_channels);
-}
-
-Tensor MBConvBlock::forward(const Tensor& input, bool training) {
-  Tensor out = body_.forward(input, training);
-  if (residual_) {
-    assert(out.shape() == input.shape());
-    float* po = out.data();
-    const float* pi = input.data();
-    for (std::int64_t i = 0; i < out.numel(); ++i) po[i] += pi[i];
-  }
-  return out;
 }
 
 void MBConvBlock::forward_into(const TensorView& in, TensorView out,
@@ -358,16 +281,6 @@ void MBConvBlock::backward_into(const TensorView& in,
       for (std::int64_t i = b; i < e; ++i) pg[i] += po[i];
     });
   }
-}
-
-Tensor MBConvBlock::backward(const Tensor& grad_output) {
-  Tensor grad_in = body_.backward(grad_output);
-  if (residual_) {
-    float* pg = grad_in.data();
-    const float* po = grad_output.data();
-    for (std::int64_t i = 0; i < grad_in.numel(); ++i) pg[i] += po[i];
-  }
-  return grad_in;
 }
 
 Shape MBConvBlock::output_shape(const Shape& input) const {

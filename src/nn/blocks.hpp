@@ -5,7 +5,7 @@
 //                      ReLU6 this doubles as MobileNetV2's InvertedResidual.
 //
 // Blocks own an internal Sequential; residual and SE wiring are handled in
-// the block's own forward/backward.
+// the block's own forward_into/backward_into.
 #pragma once
 
 #include "nn/activation.hpp"
@@ -20,8 +20,6 @@ class SqueezeExcite final : public Layer {
   SqueezeExcite(std::int64_t channels, std::int64_t reduced, Activation act,
                 util::Rng& rng);
 
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   void forward_into(const TensorView& in, TensorView out,
                     Workspace& scratch) override;
   /// Recomputes the pooled/hidden/gate intermediates from `in` with the
@@ -45,8 +43,6 @@ class SqueezeExcite final : public Layer {
   Activation act_;
   Param w1_, b1_;  // [reduced, channels], [reduced]
   Param w2_, b2_;  // [channels, reduced], [channels]
-  // Legacy-path cache: just the input; everything else is recomputed.
-  Tensor cached_input_;
 };
 
 struct MBConvConfig {
@@ -67,8 +63,6 @@ class MBConvBlock final : public Layer {
  public:
   MBConvBlock(const MBConvConfig& config, util::Rng& rng);
 
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   void forward_into(const TensorView& in, TensorView out,
                     Workspace& scratch) override;
   void forward_train_into(const TensorView& in, TensorView out,

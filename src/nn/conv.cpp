@@ -105,36 +105,6 @@ tensor::ConvGeometry Conv2d::geometry(std::int64_t in_h, std::int64_t in_w) cons
           .pad = pad_};
 }
 
-Tensor Conv2d::forward(const Tensor& input, bool training) {
-  assert(input.shape().rank() == 4 && input.shape()[1] == in_channels_);
-  const std::int64_t batch = input.shape()[0];
-  const auto geom = geometry(input.shape()[2], input.shape()[3]);
-  const std::int64_t out_h = geom.out_h(), out_w = geom.out_w();
-  const std::int64_t col_rows = geom.col_rows(), col_cols = geom.col_cols();
-
-  if (training) cached_input_ = input;
-
-  Tensor output(Shape{batch, out_channels_, out_h, out_w});
-  std::vector<float> col(static_cast<std::size_t>(col_rows * col_cols));
-  const std::int64_t in_stride = in_channels_ * geom.in_h * geom.in_w;
-  const std::int64_t out_stride = out_channels_ * out_h * out_w;
-  for (std::int64_t n = 0; n < batch; ++n) {
-    tensor::im2col(input.data() + n * in_stride, geom, col.data());
-    // out[n] = W[O, col_rows] * col[col_rows, col_cols]
-    tensor::gemm(weight_.value.data(), col.data(), output.data() + n * out_stride,
-                 out_channels_, col_rows, col_cols);
-    if (has_bias_) {
-      float* out_n = output.data() + n * out_stride;
-      for (std::int64_t o = 0; o < out_channels_; ++o) {
-        const float b = bias_.value[o];
-        float* plane = out_n + o * out_h * out_w;
-        for (std::int64_t i = 0; i < out_h * out_w; ++i) plane[i] += b;
-      }
-    }
-  }
-  return output;
-}
-
 void Conv2d::forward_into(const TensorView& in, TensorView out,
                           Workspace& scratch) {
   assert(in.shape().rank() == 4 && in.shape()[1] == in_channels_);
@@ -148,9 +118,9 @@ void Conv2d::forward_into(const TensorView& in, TensorView out,
   // plane [C, H*W], so the copy is skipped and the gemm reads the input
   // directly — same operands, bitwise-identical output.
   const bool pointwise = kernel_ == 1 && stride_ == 1 && pad_ == 0;
-  // Same im2col + GEMM sequence as forward(); the col buffer persists in the
-  // workspace across samples instead of being reallocated per call.  im2col
-  // writes every element (padding included), so it needs no zeroing.
+  // im2col + GEMM per sample; the col buffer persists in the workspace across
+  // samples.  im2col writes every element (padding included), so it needs no
+  // zeroing.
   Workspace::Frame frame(scratch);
   float* col = pointwise ? nullptr : scratch.alloc(col_rows * col_cols);
   const std::int64_t in_stride = in_channels_ * geom.in_h * geom.in_w;
@@ -290,23 +260,6 @@ void Conv2d::backward_into(const TensorView& in, const TensorView& grad_out,
   }
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
-  if (cached_input_.empty())
-    throw TrainingStateError(name() +
-                             "::backward before forward(training=true)");
-  if (grad_output.shape() != output_shape(cached_input_.shape()))
-    throw TrainingStateError(name() + "::backward: grad_output shape " +
-                             grad_output.shape().to_string() +
-                             " does not match the cached batch " +
-                             cached_input_.shape().to_string());
-  Tensor grad_input(cached_input_.shape());
-  Workspace& ws = legacy_train_workspace();
-  ws.reset();
-  backward_into(cached_input_.view(), grad_output.view(), grad_input.view(),
-                ws);
-  return grad_input;
-}
-
 std::vector<Param*> Conv2d::params() {
   std::vector<Param*> out{&weight_};
   if (has_bias_) out.push_back(&bias_);
@@ -344,25 +297,6 @@ DepthwiseConv2d::DepthwiseConv2d(std::int64_t channels, std::int64_t kernel,
   kaiming_normal(weight_.value, kernel * kernel, rng);
 }
 
-Tensor DepthwiseConv2d::forward(const Tensor& input, bool training) {
-  assert(input.shape().rank() == 4 && input.shape()[1] == channels_);
-  const std::int64_t batch = input.shape()[0];
-  const std::int64_t in_h = input.shape()[2], in_w = input.shape()[3];
-  const std::int64_t out_h = tensor::conv_out_dim(in_h, kernel_, stride_, pad_);
-  const std::int64_t out_w = tensor::conv_out_dim(in_w, kernel_, stride_, pad_);
-
-  if (training) cached_input_ = input;
-
-  // Delegates to forward_into so both training paths execute the exact same
-  // kernel.  A duplicated scalar loop is only bitwise-equal by codegen luck:
-  // FMA contraction is per-loop, and -march=native builds rounded the two
-  // copies differently for kernel 5 (caught by the bench parity gate).
-  Tensor output(Shape{batch, channels_, out_h, out_w});
-  Workspace& ws = legacy_train_workspace();
-  forward_into(input.view(), output.view(), ws);
-  return output;
-}
-
 void DepthwiseConv2d::forward_into(const TensorView& in, TensorView out,
                                    Workspace& scratch) {
   (void)scratch;
@@ -388,8 +322,7 @@ void DepthwiseConv2d::forward_into(const TensorView& in, TensorView out,
       for (std::int64_t oh = 0; oh < out_h; ++oh) {
         const std::int64_t ih0 = oh * stride_ - pad_;
         float* out_row = out_plane + oh * out_w;
-        // Border columns (and fully-clipped rows) take the guarded path;
-        // it matches forward() tap for tap.
+        // Border columns (and fully-clipped rows) take the guarded path.
         const auto guarded = [&](std::int64_t w0, std::int64_t w1) {
           for (std::int64_t ow = w0; ow < w1; ++ow) {
             float sum = 0.0f;
@@ -579,23 +512,6 @@ void DepthwiseConv2d::backward_into(const TensorView& in,
     const float* part = dw[c];
     for (std::int64_t i = 0; i < w_numel; ++i) wg[i] += part[i];
   }
-}
-
-Tensor DepthwiseConv2d::backward(const Tensor& grad_output) {
-  if (cached_input_.empty())
-    throw TrainingStateError(name() +
-                             "::backward before forward(training=true)");
-  if (grad_output.shape() != output_shape(cached_input_.shape()))
-    throw TrainingStateError(name() + "::backward: grad_output shape " +
-                             grad_output.shape().to_string() +
-                             " does not match the cached batch " +
-                             cached_input_.shape().to_string());
-  Tensor grad_input(cached_input_.shape());
-  Workspace& ws = legacy_train_workspace();
-  ws.reset();
-  backward_into(cached_input_.view(), grad_output.view(), grad_input.view(),
-                ws);
-  return grad_input;
 }
 
 std::vector<Param*> DepthwiseConv2d::params() { return {&weight_}; }

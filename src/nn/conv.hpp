@@ -14,8 +14,6 @@ class Conv2d final : public Layer {
          std::int64_t kernel, std::int64_t stride, std::int64_t pad,
          bool bias, util::Rng& rng);
 
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   void forward_into(const TensorView& in, TensorView out,
                     Workspace& scratch) override;
   void backward_into(const TensorView& in, const TensorView& grad_out,
@@ -42,7 +40,6 @@ class Conv2d final : public Layer {
   bool has_bias_;
   Param weight_;  // [O, I*KH*KW] flattened for direct GEMM use
   Param bias_;    // [O]
-  Tensor cached_input_;
 };
 
 /// Depthwise 2-D convolution (groups == channels), weights [C, KH*KW].
@@ -51,8 +48,6 @@ class DepthwiseConv2d final : public Layer {
   DepthwiseConv2d(std::int64_t channels, std::int64_t kernel,
                   std::int64_t stride, std::int64_t pad, util::Rng& rng);
 
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   void forward_into(const TensorView& in, TensorView out,
                     Workspace& scratch) override;
   void backward_into(const TensorView& in, const TensorView& grad_out,
@@ -72,7 +67,6 @@ class DepthwiseConv2d final : public Layer {
  private:
   std::int64_t channels_, kernel_, stride_, pad_;
   Param weight_;  // [C, KH*KW]
-  Tensor cached_input_;
 };
 
 }  // namespace nshd::nn

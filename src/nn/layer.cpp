@@ -1,35 +1,12 @@
 #include "nn/layer.hpp"
 
-#include <cassert>
-#include <cstring>
-
 namespace nshd::nn {
 
-void Layer::backward_into(const TensorView& in, const TensorView& grad_out,
-                          TensorView grad_in, Workspace& ws) {
-  (void)in;
-  (void)grad_out;
-  (void)grad_in;
-  (void)ws;
-  throw TrainingStateError("backward_into is not implemented for " + name());
-}
-
-Workspace& legacy_train_workspace() {
-  thread_local Workspace ws;
-  return ws;
-}
-
-void Layer::forward_into(const TensorView& in, TensorView out,
-                         Workspace& scratch) {
-  (void)scratch;
-  // Allocating fallback so new layer types work under plans before they get
-  // a workspace-native implementation.
-  Tensor result = forward(Tensor::from_view(in), /*training=*/false);
-  assert(result.numel() == out.numel() && "forward_into shape mismatch");
-  if (result.numel() > 0) {
-    std::memcpy(out.data(), result.data(),
-                static_cast<std::size_t>(result.numel()) * sizeof(float));
-  }
+Tensor Layer::forward(const Tensor& input) {
+  Tensor output(output_shape(input.shape()));
+  Workspace ws;
+  forward_into(input.view(), output.view(), ws);
+  return output;
 }
 
 const char* to_string(LayerKind kind) {

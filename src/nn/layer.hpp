@@ -1,10 +1,10 @@
 // Layer abstraction for the from-scratch deep-learning substrate.
 //
 // The paper consumes PyTorch models; this reproduction implements the
-// minimum viable training framework instead: explicit forward/backward per
-// layer, mutable parameter slots with gradient buffers, and a Sequential
-// container that supports the paper's "cut at layer index k" operation
-// (Sec. IV-A) for building feature extractors.
+// minimum viable training framework instead: explicit workspace-backed
+// forward/backward per layer, mutable parameter slots with gradient buffers,
+// and a Sequential container that supports the paper's "cut at layer index
+// k" operation (Sec. IV-A) for building feature extractors.
 #pragma once
 
 #include <memory>
@@ -22,10 +22,10 @@ using tensor::Tensor;
 using tensor::TensorView;
 using tensor::Workspace;
 
-/// Violation of the training-state contract: backward called before
-/// forward(training=true), a grad_output that does not match the cached
-/// batch, or a planned step driven out of order.  Typed (instead of an
-/// assert) so release builds fail loudly rather than reading stale caches.
+/// Violation of the training-state contract: backward_into called without a
+/// matching forward_train_into, a grad_output that does not match the
+/// recorded batch, or a planned step driven out of order.  Typed (instead of
+/// an assert) so release builds fail loudly rather than reading stale state.
 class TrainingStateError : public std::logic_error {
  public:
   using std::logic_error::logic_error;
@@ -67,29 +67,28 @@ enum class LayerKind {
 
 const char* to_string(LayerKind kind);
 
-/// Base class for all layers.  Layers own their parameters and cache
-/// whatever forward state their backward pass needs; backward must be called
-/// with the same batch that was last forwarded with training=true.
+/// Base class for all layers.  Every layer computes through one set of
+/// workspace methods: forward_into (inference), forward_train_into and
+/// backward_into (training).  Layers own their parameters; backward_into
+/// receives the exact activation its forward_train_into consumed, so no
+/// layer caches its input.
 class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Computes the layer output.  `training` toggles batch-norm statistics
-  /// accumulation and dropout.
-  virtual Tensor forward(const Tensor& input, bool training) = 0;
+  /// Eval-mode convenience: allocates the output and runs forward_into with
+  /// a local workspace.  Not for hot paths (plans pre-size their workspaces)
+  /// and not for training (Sequential's tape must live in the caller's
+  /// workspace until backward_into).
+  Tensor forward(const Tensor& input);
 
-  /// Propagates the loss gradient; accumulates into param grads and returns
-  /// the gradient with respect to the input.
-  virtual Tensor backward(const Tensor& grad_output) = 0;
-
-  /// Inference-only forward writing into caller-provided memory.  Must match
-  /// forward(input, /*training=*/false) bitwise.  `out` may alias `in` only
-  /// when inplace_eval() is true.  Layer-local temporaries come from
-  /// `scratch` and must be released (Frame) before returning; implementations
-  /// must not mutate layer state so plans can run concurrently.
-  /// The default materializes Tensors and forwards — correct but allocating.
+  /// Inference-only forward writing into caller-provided memory.  `out` may
+  /// alias `in` only when inplace_eval() is true.  Layer-local temporaries
+  /// come from `scratch` and must be released (Frame) before returning;
+  /// implementations must not mutate layer state so plans can run
+  /// concurrently.
   virtual void forward_into(const TensorView& in, TensorView out,
-                            Workspace& scratch);
+                            Workspace& scratch) = 0;
 
   /// Upper bound on the floats this layer allocs from `scratch` during one
   /// forward_into with the given (batch-full) input shape.  Used by plans to
@@ -99,10 +98,9 @@ class Layer {
     return 0;
   }
 
-  /// Training-mode forward writing into caller-provided memory.  Must match
-  /// forward(input, /*training=*/true) bitwise.  Unlike the legacy forward,
-  /// this does NOT cache the input — the planned training path (TrainingPlan
-  /// via Sequential::forward_train_into) pins boundary activations in the
+  /// Training-mode forward writing into caller-provided memory.  It does NOT
+  /// cache the input — the training path (TrainingPlan via
+  /// Sequential::forward_train_into) pins boundary activations in the
   /// workspace and hands them back to backward_into, so no layer copies its
   /// input.  Layers whose training math equals eval math (conv, linear,
   /// pool, activation, SE, flatten) inherit the forward_into default;
@@ -115,15 +113,15 @@ class Layer {
 
   /// Backward pass writing into caller-provided memory: accumulates into
   /// param grads and writes d(loss)/d(input) to `grad_in`.  `in` must be the
-  /// exact activation the matching forward_train_into consumed (the planned
-  /// path passes the pinned tape entry; the legacy backward() wrappers pass
-  /// their cached copy), and `grad_in` must not alias `in` or `grad_out`.
+  /// exact activation the matching forward_train_into consumed (Sequential
+  /// passes its pinned tape entry), and `grad_in` must not alias `in` or
+  /// `grad_out`.
   /// Layer-local temporaries come from `ws` (Frame-scoped).  Implementations
   /// shard sample/element loops through util::parallel_for with fixed grains
   /// and reduce per-chunk gradient partials in chunk-index order, so the
   /// accumulated grads are bitwise NSHD_THREADS-invariant.
   virtual void backward_into(const TensorView& in, const TensorView& grad_out,
-                             TensorView grad_in, Workspace& ws);
+                             TensorView grad_in, Workspace& ws) = 0;
 
   /// Upper bound on the floats this layer allocs from `ws` across one
   /// forward_train_into + backward_into pair (excluding pinned activations,
@@ -180,12 +178,5 @@ using LayerPtr = std::unique_ptr<Layer>;
 
 /// Zeroes gradients of all params in the list.
 void zero_grads(const std::vector<Param*>& params);
-
-/// Thread-local scratch arena backing the legacy allocating backward()
-/// wrappers, which now delegate to backward_into so both training paths
-/// share one gradient bitstream.  Each leaf wrapper reset()s it on entry;
-/// that is safe because leaf wrappers never nest (containers recurse through
-/// their children's wrappers, not through their own workspace use).
-Workspace& legacy_train_workspace();
 
 }  // namespace nshd::nn

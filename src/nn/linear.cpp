@@ -17,22 +17,6 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features, util::Rng& r
   kaiming_normal(weight_.value, in_features, rng);
 }
 
-Tensor Linear::forward(const Tensor& input, bool training) {
-  assert(input.shape().rank() == 2 && input.shape()[1] == in_features_);
-  const std::int64_t batch = input.shape()[0];
-  if (training) cached_input_ = input;
-
-  Tensor output(Shape{batch, out_features_});
-  // out[batch, out] = in[batch, in] * W[out, in]^T
-  tensor::gemm_bt(input.data(), weight_.value.data(), output.data(), batch,
-                  in_features_, out_features_);
-  for (std::int64_t n = 0; n < batch; ++n) {
-    float* row = output.data() + n * out_features_;
-    for (std::int64_t o = 0; o < out_features_; ++o) row[o] += bias_.value[o];
-  }
-  return output;
-}
-
 void Linear::forward_into(const TensorView& in, TensorView out,
                           Workspace& scratch) {
   (void)scratch;
@@ -76,32 +60,9 @@ void Linear::backward_into(const TensorView& in, const TensorView& grad_out,
                out_features_, in_features_);
 }
 
-Tensor Linear::backward(const Tensor& grad_output) {
-  if (cached_input_.empty())
-    throw TrainingStateError(name() +
-                             "::backward before forward(training=true)");
-  if (grad_output.shape() != Shape({cached_input_.shape()[0], out_features_}))
-    throw TrainingStateError(name() + "::backward: grad_output shape " +
-                             grad_output.shape().to_string() +
-                             " does not match the cached batch " +
-                             cached_input_.shape().to_string());
-  Tensor grad_input(cached_input_.shape());
-  Workspace& ws = legacy_train_workspace();
-  ws.reset();
-  backward_into(cached_input_.view(), grad_output.view(), grad_input.view(),
-                ws);
-  return grad_input;
-}
-
 Shape Linear::output_shape(const Shape& input) const {
   assert(input.rank() == 2);
   return Shape{input[0], out_features_};
-}
-
-Tensor Flatten::forward(const Tensor& input, bool training) {
-  if (training) cached_input_shape_ = input.shape();
-  const std::int64_t batch = input.shape()[0];
-  return input.reshaped(Shape{batch, input.numel() / batch});
 }
 
 void Flatten::forward_into(const TensorView& in, TensorView out,
@@ -124,18 +85,6 @@ void Flatten::backward_into(const TensorView& in, const TensorView& grad_out,
               static_cast<std::size_t>(grad_out.numel()) * sizeof(float));
 }
 
-Tensor Flatten::backward(const Tensor& grad_output) {
-  if (cached_input_shape_.rank() == 0)
-    throw TrainingStateError(name() +
-                             "::backward before forward(training=true)");
-  if (grad_output.numel() != cached_input_shape_.numel())
-    throw TrainingStateError(name() + "::backward: grad_output shape " +
-                             grad_output.shape().to_string() +
-                             " does not match the cached batch " +
-                             cached_input_shape_.to_string());
-  return grad_output.reshaped(cached_input_shape_);
-}
-
 Shape Flatten::output_shape(const Shape& input) const {
   return Shape{input[0], input.numel() / input[0]};
 }
@@ -152,30 +101,6 @@ float Dropout::mask_at(std::uint64_t step, std::int64_t i) const {
   return u < static_cast<double>(probability_)
              ? 0.0f
              : 1.0f / (1.0f - probability_);
-}
-
-void Dropout::apply_mask_train(const float* in, float* out,
-                               std::int64_t numel) {
-  last_step_ = static_cast<std::uint64_t>(step_state_[0]);
-  cached_numel_ = numel;
-  const std::uint64_t step = last_step_;
-  // One write per element; mask_at is a pure function of (step, i), so
-  // chunking over elements is bitwise thread-invariant.
-  util::parallel_for(0, numel, kTrainElemGrain,
-                     [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) out[i] = in[i] * mask_at(step, i);
-  });
-  step_state_[0] = static_cast<float>(last_step_ + 1);
-}
-
-Tensor Dropout::forward(const Tensor& input, bool training) {
-  if (!training || probability_ <= 0.0f) {
-    cached_numel_ = -1;
-    return input;
-  }
-  Tensor output(input.shape());
-  apply_mask_train(input.data(), output.data(), input.numel());
-  return output;
 }
 
 void Dropout::forward_into(const TensorView& in, TensorView out,
@@ -198,7 +123,19 @@ void Dropout::forward_train_into(const TensorView& in, TensorView out,
     forward_into(in, out, ws);
     return;
   }
-  apply_mask_train(in.data(), out.data(), in.numel());
+  // Applies the step's mask and advances the checkpointed counter.  One
+  // write per element; mask_at is a pure function of (step, i), so chunking
+  // over elements is bitwise thread-invariant.
+  last_step_ = static_cast<std::uint64_t>(step_state_[0]);
+  cached_numel_ = in.numel();
+  const std::uint64_t step = last_step_;
+  const float* src = in.data();
+  float* dst = out.data();
+  util::parallel_for(0, in.numel(), kTrainElemGrain,
+                     [&](std::int64_t b, std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i) dst[i] = src[i] * mask_at(step, i);
+  });
+  step_state_[0] = static_cast<float>(last_step_ + 1);
 }
 
 void Dropout::backward_into(const TensorView& in, const TensorView& grad_out,
@@ -224,17 +161,6 @@ void Dropout::backward_into(const TensorView& in, const TensorView& grad_out,
                      [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t i = b; i < e; ++i) gin[i] = gout[i] * mask_at(step, i);
   });
-}
-
-Tensor Dropout::backward(const Tensor& grad_output) {
-  if (cached_numel_ < 0) return grad_output;
-  Tensor grad_input(grad_output.shape());
-  Workspace& ws = legacy_train_workspace();
-  ws.reset();
-  // backward_into reads only grad_out (the mask is counter-generated), so
-  // the input view can be the gradient itself.
-  backward_into(grad_output.view(), grad_output.view(), grad_input.view(), ws);
-  return grad_input;
 }
 
 }  // namespace nshd::nn

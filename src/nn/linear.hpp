@@ -11,8 +11,6 @@ class Linear final : public Layer {
  public:
   Linear(std::int64_t in_features, std::int64_t out_features, util::Rng& rng);
 
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   void forward_into(const TensorView& in, TensorView out,
                     Workspace& scratch) override;
   void backward_into(const TensorView& in, const TensorView& grad_out,
@@ -36,14 +34,11 @@ class Linear final : public Layer {
  private:
   std::int64_t in_features_, out_features_;
   Param weight_, bias_;
-  Tensor cached_input_;
 };
 
 /// [N, C, H, W] (or [N, F]) -> [N, C*H*W].
 class Flatten final : public Layer {
  public:
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   void forward_into(const TensorView& in, TensorView out,
                     Workspace& scratch) override;
   /// Pure relabeling: copies grad_out into grad_in (shapes differ, bytes
@@ -54,9 +49,6 @@ class Flatten final : public Layer {
   Shape output_shape(const Shape& input) const override;
   LayerKind kind() const override { return LayerKind::kFlatten; }
   std::string name() const override { return "Flatten"; }
-
- private:
-  Shape cached_input_shape_;
 };
 
 /// Inverted dropout: scales kept activations by 1/(1-p) during training,
@@ -66,16 +58,13 @@ class Flatten final : public Layer {
 /// function mask_at(s, i) of (seed, s, i), where the seed is drawn once from
 /// the construction-time Rng and the step counter lives in a checkpointable
 /// tensor (append_state).  This makes masks bitwise reproducible at any
-/// NSHD_THREADS, identical between the legacy and planned training paths
-/// (both evaluate the same function), and exactly resumable after
-/// kill-restore — with no stored mask tensor at all.
+/// NSHD_THREADS and exactly resumable after kill-restore — with no stored
+/// mask tensor at all.
 class Dropout final : public Layer {
  public:
   Dropout(float probability, util::Rng& rng)
       : probability_(probability), seed_(rng.next_u64()) {}
 
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   void forward_into(const TensorView& in, TensorView out,
                     Workspace& scratch) override;
   void forward_train_into(const TensorView& in, TensorView out,
@@ -97,9 +86,6 @@ class Dropout final : public Layer {
 
  private:
   float mask_at(std::uint64_t step, std::int64_t i) const;
-  /// Shared by forward() and forward_train_into(): applies the step's mask
-  /// and advances the checkpointed counter.
-  void apply_mask_train(const float* in, float* out, std::int64_t numel);
 
   float probability_;
   std::uint64_t seed_;

@@ -30,8 +30,8 @@ InferencePlan::InferencePlan(Sequential& net, Shape sample_chw,
       last_layer_(last_layer),
       max_batch_(max_batch) {
   assert(max_batch_ >= 1);
-  // Shape inference once, at plan-build time.  output_shape_at throws on an
-  // out-of-range cut, same as the legacy forward_to.
+  // Shape inference once, at plan-build time.  output_shape_at throws
+  // std::out_of_range on an out-of-range cut.
   const Shape in_one = with_batch(sample_chw_, 1);
   out_shape_one_ = net_->output_shape_at(in_one, last_layer_);
   out_numel_per_sample_ = out_shape_one_.numel();

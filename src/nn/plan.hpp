@@ -9,10 +9,10 @@
 // an internal pool (one per concurrent caller) and all layer forward_into
 // implementations are mutation-free in eval mode.
 //
-// The plan produces bitwise-identical results to the legacy allocating
-// Sequential::forward_to — layers reuse the exact same kernels and loop
-// order — so the extractor and evaluator rewires in core/ and nn/trainer
-// are pure performance changes.
+// Every f32 inference path in the repo (feature extraction, evaluation,
+// logits, serving) runs through a plan or Sequential::forward_into_to, so
+// each layer's forward_into is the one eval kernel; tests check it against an
+// independent direct-loop reference (tests/reference_net.hpp).
 #pragma once
 
 #include <cstddef>

@@ -8,39 +8,6 @@
 
 namespace nshd::nn {
 
-Tensor MaxPool2d::forward(const Tensor& input, bool training) {
-  assert(input.shape().rank() == 4);
-  const std::int64_t batch = input.shape()[0], channels = input.shape()[1];
-  const std::int64_t in_h = input.shape()[2], in_w = input.shape()[3];
-  const std::int64_t out_h = (in_h - kernel_) / stride_ + 1;
-  const std::int64_t out_w = (in_w - kernel_) / stride_ + 1;
-  assert(out_h >= 1 && out_w >= 1);
-  if (training) cached_input_ = input;
-
-  Tensor output(Shape{batch, channels, out_h, out_w});
-  std::int64_t out_idx = 0;
-  for (std::int64_t n = 0; n < batch; ++n) {
-    for (std::int64_t c = 0; c < channels; ++c) {
-      const float* plane = input.data() + (n * channels + c) * in_h * in_w;
-      for (std::int64_t oh = 0; oh < out_h; ++oh) {
-        for (std::int64_t ow = 0; ow < out_w; ++ow, ++out_idx) {
-          float best = -std::numeric_limits<float>::infinity();
-          for (std::int64_t kh = 0; kh < kernel_; ++kh) {
-            const std::int64_t ih = oh * stride_ + kh;
-            for (std::int64_t kw = 0; kw < kernel_; ++kw) {
-              const std::int64_t iw = ow * stride_ + kw;
-              const float v = plane[ih * in_w + iw];
-              if (v > best) best = v;
-            }
-          }
-          output[out_idx] = best;
-        }
-      }
-    }
-  }
-  return output;
-}
-
 void MaxPool2d::forward_into(const TensorView& in, TensorView out,
                              Workspace& scratch) {
   (void)scratch;
@@ -127,45 +94,10 @@ void MaxPool2d::backward_into(const TensorView& in, const TensorView& grad_out,
   });
 }
 
-Tensor MaxPool2d::backward(const Tensor& grad_output) {
-  if (cached_input_.empty())
-    throw TrainingStateError(name() +
-                             "::backward before forward(training=true)");
-  if (grad_output.shape() != output_shape(cached_input_.shape()))
-    throw TrainingStateError(name() + "::backward: grad_output shape " +
-                             grad_output.shape().to_string() +
-                             " does not match the cached batch " +
-                             cached_input_.shape().to_string());
-  Tensor grad_input(cached_input_.shape());
-  Workspace& ws = legacy_train_workspace();
-  ws.reset();
-  backward_into(cached_input_.view(), grad_output.view(), grad_input.view(),
-                ws);
-  return grad_input;
-}
-
 Shape MaxPool2d::output_shape(const Shape& input) const {
   assert(input.rank() == 4);
   return Shape{input[0], input[1], (input[2] - kernel_) / stride_ + 1,
                (input[3] - kernel_) / stride_ + 1};
-}
-
-Tensor GlobalAvgPool::forward(const Tensor& input, bool training) {
-  assert(input.shape().rank() == 4);
-  const std::int64_t batch = input.shape()[0], channels = input.shape()[1];
-  const std::int64_t hw = input.shape()[2] * input.shape()[3];
-  if (training) cached_input_shape_ = input.shape();
-
-  Tensor output(Shape{batch, channels, 1, 1});
-  for (std::int64_t n = 0; n < batch; ++n) {
-    for (std::int64_t c = 0; c < channels; ++c) {
-      const float* plane = input.data() + (n * channels + c) * hw;
-      double sum = 0.0;
-      for (std::int64_t i = 0; i < hw; ++i) sum += plane[i];
-      output[n * channels + c] = static_cast<float>(sum / hw);
-    }
-  }
-  return output;
 }
 
 void GlobalAvgPool::forward_into(const TensorView& in, TensorView out,
@@ -209,32 +141,6 @@ void GlobalAvgPool::backward_into(const TensorView& in,
       for (std::int64_t i = 0; i < hw; ++i) plane[i] = g;
     }
   });
-}
-
-Tensor GlobalAvgPool::backward(const Tensor& grad_output) {
-  // Caches only the input shape (the adjoint needs nothing else), so this
-  // wrapper runs the same data-independent fill as backward_into directly.
-  if (cached_input_shape_.rank() != 4)
-    throw TrainingStateError(name() +
-                             "::backward before forward(training=true)");
-  const std::int64_t batch = cached_input_shape_[0];
-  const std::int64_t channels = cached_input_shape_[1];
-  if (grad_output.shape() != Shape({batch, channels, 1, 1}))
-    throw TrainingStateError(name() + "::backward: grad_output shape " +
-                             grad_output.shape().to_string() +
-                             " does not match the cached batch " +
-                             cached_input_shape_.to_string());
-  const std::int64_t hw = cached_input_shape_[2] * cached_input_shape_[3];
-  Tensor grad_input(cached_input_shape_);
-  const float inv = 1.0f / static_cast<float>(hw);
-  for (std::int64_t n = 0; n < batch; ++n) {
-    for (std::int64_t c = 0; c < channels; ++c) {
-      const float g = grad_output[n * channels + c] * inv;
-      float* plane = grad_input.data() + (n * channels + c) * hw;
-      for (std::int64_t i = 0; i < hw; ++i) plane[i] = g;
-    }
-  }
-  return grad_input;
 }
 
 Shape GlobalAvgPool::output_shape(const Shape& input) const {

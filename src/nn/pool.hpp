@@ -12,8 +12,6 @@ class MaxPool2d final : public Layer {
   MaxPool2d(std::int64_t kernel, std::int64_t stride)
       : kernel_(kernel), stride_(stride) {}
 
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   void forward_into(const TensorView& in, TensorView out,
                     Workspace& scratch) override;
   void backward_into(const TensorView& in, const TensorView& grad_out,
@@ -29,17 +27,11 @@ class MaxPool2d final : public Layer {
 
  private:
   std::int64_t kernel_, stride_;
-  // Legacy-path cache: the input itself; backward_into recomputes the argmax
-  // selection from it (same loop as forward, so the scatter is bitwise equal
-  // to scattering through a cached index table).
-  Tensor cached_input_;
 };
 
 /// Global average pool: [N, C, H, W] -> [N, C, 1, 1].
 class GlobalAvgPool final : public Layer {
  public:
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
   void forward_into(const TensorView& in, TensorView out,
                     Workspace& scratch) override;
   /// Reads only in.shape(): the mean adjoint is data-independent.
@@ -48,9 +40,6 @@ class GlobalAvgPool final : public Layer {
   Shape output_shape(const Shape& input) const override;
   LayerKind kind() const override { return LayerKind::kAvgPool; }
   std::string name() const override { return "GlobalAvgPool"; }
-
- private:
-  Shape cached_input_shape_;
 };
 
 }  // namespace nshd::nn

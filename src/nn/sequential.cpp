@@ -24,21 +24,6 @@ Sequential& Sequential::add(LayerPtr layer) {
   return *this;
 }
 
-Tensor Sequential::forward(const Tensor& input, bool training) {
-  Tensor x = input;
-  for (auto& layer : layers_) x = layer->forward(x, training);
-  return x;
-}
-
-Tensor Sequential::forward_to(const Tensor& input, std::size_t last_layer) {
-  check_layer_index(last_layer, layers_.size(), "Sequential::forward_to");
-  Tensor x = input;
-  for (std::size_t i = 0; i <= last_layer; ++i) {
-    x = layers_[i]->forward(x, /*training=*/false);
-  }
-  return x;
-}
-
 void Sequential::forward_into_to(const TensorView& in, TensorView out,
                                  Workspace& ws, std::size_t last_layer) {
   check_layer_index(last_layer, layers_.size(), "Sequential::forward_into_to");
@@ -111,14 +96,6 @@ std::int64_t Sequential::scratch_floats_to(const Shape& input,
   // Slack for the arena rounding each alloc up to its alignment quantum.
   const auto align = static_cast<std::int64_t>(Workspace::kAlignFloats);
   return 2 * (max_inter + align) + max_layer_scratch;
-}
-
-Tensor Sequential::backward(const Tensor& grad_output) {
-  Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
-  }
-  return g;
 }
 
 void Sequential::forward_train_into(const TensorView& in, TensorView out,

@@ -21,12 +21,6 @@ class Sequential final : public Layer {
     return add(std::make_unique<L>(std::forward<Args>(args)...));
   }
 
-  Tensor forward(const Tensor& input, bool training) override;
-
-  /// Forward through layers [0, last_layer] inclusive (inference mode).
-  /// `last_layer` = size()-1 is equivalent to full forward.
-  Tensor forward_to(const Tensor& input, std::size_t last_layer);
-
   /// Workspace-backed inference through layers [0, last_layer] inclusive.
   /// Intermediates ping-pong between two workspace slabs sized at the
   /// largest intermediate; in-place-capable layers (activation, eval
@@ -43,8 +37,6 @@ class Sequential final : public Layer {
   /// two ping-pong slabs plus the largest per-layer scratch.
   std::int64_t scratch_floats_to(const Shape& input,
                                  std::size_t last_layer) const;
-
-  Tensor backward(const Tensor& grad_output) override;
 
   /// Training forward for the planned path: every boundary activation is
   /// pinned in `ws` (no Frame — the buffers must survive until

@@ -10,8 +10,8 @@
 //
 // Gradients are accumulated with the deterministic chunked scheme described
 // in DESIGN.md ("Planned training & gradient accumulation"): results are
-// bitwise identical to the legacy allocating Layer::backward path (which
-// delegates to the same backward_into kernels) and invariant to NSHD_THREADS.
+// invariant to NSHD_THREADS.  This is the only training path;
+// nn::train_classifier runs one step() per batch.
 //
 // Unlike InferencePlan, a TrainingPlan is NOT thread-safe: training mutates
 // layer state (batch-norm statistics, dropout streams, parameter grads), so
@@ -30,8 +30,7 @@
 
 namespace nshd::nn {
 
-/// Loss/accuracy of one planned training step (batch means, like the legacy
-/// path's LossResult).
+/// Loss/accuracy of one planned training step (loss is the batch mean).
 struct TrainStepStats {
   double loss = 0.0;
   std::int64_t correct = 0;
@@ -56,7 +55,7 @@ class TrainingPlan {
   /// One fused training step over images = [N, C, H, W]: training forward,
   /// softmax cross-entropy (loss + grad in workspace memory), backward with
   /// gradient accumulation into the net's params.  Does NOT run the
-  /// optimizer — the caller steps it, exactly like the legacy loop.  Throws
+  /// optimizer — the caller steps it (see train_classifier).  Throws
   /// TrainingStateError on a shape/label-count mismatch.
   TrainStepStats step(const TensorView& images,
                       const std::vector<std::int64_t>& labels);

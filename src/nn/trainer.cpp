@@ -101,20 +101,19 @@ TrainReport train_classifier(Sequential& model, const data::Dataset& train,
   Sgd optimizer(model.params(), config.learning_rate, config.momentum,
                 config.weight_decay);
   // Batch assembly overlaps the training step through the prefetch pipeline;
-  // its batch stream is bitwise identical to the legacy BatchIterator at
-  // every depth (0 = synchronous).
+  // its batch stream is bitwise identical to data::BatchIterator at every
+  // depth (0 = synchronous).
   const int prefetch =
       config.prefetch_depth >= 0
           ? std::min(config.prefetch_depth, data::kMaxPrefetchDepth)
           : data::prefetch_depth_from_env();
   data::BatchPipeline batches(train, config.batch_size, rng, prefetch);
 
-  // The planned path runs the whole step — training forward, fused
-  // softmax-CE, backward — out of one preplanned workspace with zero heap
-  // traffic; results are bitwise identical to the legacy loop below.
+  // Each step — training forward, fused softmax-CE, backward — runs out of
+  // one preplanned workspace with zero heap traffic.  An empty dataset yields
+  // no batches, so it needs no plan.
   std::optional<TrainingPlan> plan;
-  if (config.planned && train.size() > 0)
-    plan.emplace(model, train.sample_shape(), config.batch_size);
+  if (train.size() > 0) plan.emplace(model, train.sample_shape(), config.batch_size);
 
   std::vector<tensor::Tensor*> model_state;
   model.append_state(model_state);
@@ -177,26 +176,14 @@ TrainReport train_classifier(Sequential& model, const data::Dataset& train,
                             0.5f * (1.0f + static_cast<float>(std::cos(progress * 3.14159265))));
       optimizer.set_learning_rate(lr);
 
-      double batch_loss = 0.0;
-      std::int64_t batch_correct = 0;
-      if (plan.has_value()) {
-        const TrainStepStats stats = plan->step(images, labels);
-        batch_loss = stats.loss;
-        batch_correct = stats.correct;
-      } else {
-        tensor::Tensor batch = tensor::Tensor::from_view(images);
-        tensor::Tensor logits = model.forward(batch, /*training=*/true);
-        LossResult loss = softmax_cross_entropy(logits, labels);
-        batch_loss = loss.loss;
-        batch_correct = loss.correct;
-        model.backward(loss.grad_logits);
-      }
+      const TrainStepStats batch_stats = plan->step(images, labels);
+      double batch_loss = batch_stats.loss;
       if (util::fault::should_fire("trainer.nan_loss"))
         batch_loss = std::numeric_limits<double>::quiet_NaN();
       optimizer.step();
 
       loss_sum += batch_loss;
-      correct += batch_correct;
+      correct += batch_stats.correct;
       seen += static_cast<std::int64_t>(labels.size());
       ++batch_count;
       ++step;

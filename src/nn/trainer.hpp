@@ -36,11 +36,6 @@ struct TrainConfig {
   bool recover_divergence = true;
   std::int64_t max_divergence_retries = 3;
   float divergence_backoff = 0.5f;
-  /// Use the zero-alloc planned training path (TrainingPlan over
-  /// forward_train_into/backward_into).  false falls back to the legacy
-  /// allocating Layer::forward/backward loop.  Both paths share one gradient
-  /// bitstream, so the final weights are bitwise identical either way.
-  bool planned = true;
   /// Batches the data::BatchPipeline assembles ahead of the training step;
   /// 0 fills synchronously, -1 reads NSHD_PREFETCH (default 1).  The batch
   /// stream is bitwise identical at every depth.

@@ -403,8 +403,7 @@ void Engine::execute_batch(ModelEntry& entry, std::vector<Request>& batch,
     }
 
     const std::vector<hd::Hypervector> queries =
-        scan ? bundle.nshd.symbolize_all_checked(features, health)
-             : bundle.nshd.symbolize_all(features);
+        bundle.nshd.symbolize_all(features, scan ? &health : nullptr);
     if (bundle.online != nullptr) {
       // Online mode: score the latest published bank version — one atomic
       // load, and the whole batch sees exactly that version regardless of
@@ -427,7 +426,7 @@ void Engine::execute_batch(ModelEntry& entry, std::vector<Request>& batch,
   // Post-inference numeric health: classify each row as clean, degradable
   // (clean features, faulted primary head), or rejected (poison input).  The
   // similarity scan catches class-bank faults and the nan_logits site; the
-  // feature/encoding health came from symbolize_all_checked above.
+  // feature/encoding health came from symbolize_all above.
   enum class RowFate : std::uint8_t { kServe, kDegrade, kReject };
   std::vector<RowFate> fate(static_cast<std::size_t>(n), RowFate::kServe);
   std::int64_t poison_rows = 0;

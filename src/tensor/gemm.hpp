@@ -9,9 +9,8 @@
 // runs 2x4 blocks of vectorized dot products; `gemv`/`gemv_t`/`dot` use
 // multi-accumulator vector loops.  Every C element has one fixed
 // accumulation order per binary — independent of NSHD_THREADS, because
-// parallel chunk boundaries depend only on the range and grain.  Both the
-// legacy layer `forward` and the planned `forward_into` path call these
-// same entry points, which keeps the plan-parity tests bitwise.
+// parallel chunk boundaries depend only on the range and grain, which keeps
+// planned inference and training bitwise NSHD_THREADS-invariant.
 //
 // The int8 GEMMs are the one place that picks a kernel at run time rather
 // than at compile time (see Int8Kernel): every int8 kernel computes the

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/feature_extractor.hpp"
@@ -309,6 +311,33 @@ TEST(Nshd, SymbolizeAllMatchesSymbolize) {
   ASSERT_EQ(all.size(), static_cast<std::size_t>(world.test.size()));
   const auto one = nshd.symbolize(world.test_feats.values.data());
   EXPECT_EQ(all[0], one);
+}
+
+TEST(Nshd, SymbolizeAllHealthScanFlagsRowsWithoutChangingHypervectors) {
+  TinyWorld& world = tiny_world();
+  NshdConfig config;
+  config.dim = 500;
+  NshdModel nshd(world.model, 14, config);
+  ASSERT_NE(nshd.manifold(), nullptr);
+
+  ExtractedFeatures feats = world.test_feats.select_rows({0, 1, 2, 3});
+  const std::int64_t f = feats.values.shape()[1];
+  // Row 1: a NaN feature.  Row 2: finite features at FLT_MAX, which
+  // overflow the manifold FC, so only the encoder input is non-finite.
+  feats.values.at(1, f / 2) = std::numeric_limits<float>::quiet_NaN();
+  for (std::int64_t i = 0; i < f; ++i)
+    feats.values.at(2, i) = std::numeric_limits<float>::max();
+
+  const auto plain = nshd.symbolize_all(feats);
+  std::vector<NshdModel::RowHealth> health;
+  const auto scanned = nshd.symbolize_all(feats, &health);
+  ASSERT_EQ(plain.size(), 4u);
+  ASSERT_EQ(scanned.size(), 4u);
+  for (std::size_t i = 0; i < plain.size(); ++i)
+    EXPECT_EQ(plain[i], scanned[i]) << "row " << i;
+  using Health = NshdModel::RowHealth;
+  EXPECT_EQ(health, (std::vector<Health>{Health::kClean, Health::kBadFeatures,
+                                         Health::kBadEncoding, Health::kClean}));
 }
 
 TEST(Nshd, TrainStatsTrackEpochs) {

@@ -72,7 +72,7 @@ TEST(Zoo, ForwardShapesAreConsistent) {
   for (const std::string& name : zoo_model_names()) {
     ZooModel m = make_model(name, 10, 1);
     tensor::Tensor x(tensor::Shape{2, 3, 32, 32});
-    const tensor::Tensor logits = m.net.forward(x, /*training=*/false);
+    const tensor::Tensor logits = m.net.forward(x);
     EXPECT_EQ(logits.shape(), tensor::Shape({2, 10})) << name;
   }
 }
@@ -81,7 +81,9 @@ TEST(Zoo, FeatureShapeAtMatchesForward) {
   ZooModel m = make_efficientnet_b0s(10, 1);
   tensor::Tensor x(tensor::Shape{1, 3, 32, 32});
   for (std::size_t cut : m.paper_cut_layers) {
-    const tensor::Tensor feat = m.net.forward_to(x, cut);
+    // Chain the cut prefix layer by layer through the eval convenience.
+    tensor::Tensor feat = x;
+    for (std::size_t i = 0; i <= cut; ++i) feat = m.net.layer(i).forward(feat);
     const tensor::Shape expect = m.feature_shape_at(cut);
     EXPECT_EQ(feat.numel(), expect.numel()) << "cut " << cut;
     EXPECT_EQ(m.feature_dim_at(cut), expect.numel());

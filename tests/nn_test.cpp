@@ -21,72 +21,18 @@
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
+#include "layer_harness.hpp"
+
 namespace nshd::nn {
 namespace {
 
 using tensor::Shape;
 using tensor::Tensor;
-
-Tensor random_tensor(Shape shape, util::Rng& rng, float scale = 1.0f) {
-  Tensor t(std::move(shape));
-  for (float& v : t.span()) v = rng.normal(0.0f, scale);
-  return t;
-}
-
-/// Scalar probe loss L = sum(weights .* layer(x)); evaluated in training
-/// mode so that BatchNorm's finite differences match the batch-statistics
-/// function its backward pass differentiates.
-double probe_loss(Layer& layer, const Tensor& x, const Tensor& probe) {
-  Tensor out = layer.forward(x, /*training=*/true);
-  double loss = 0.0;
-  for (std::int64_t i = 0; i < out.numel(); ++i)
-    loss += static_cast<double>(out[i]) * probe[i];
-  return loss;
-}
-
-/// Checks d(probe loss)/d(input) and d/d(params) against finite differences.
-/// BatchNorm in training mode recomputes batch stats, so callers that need
-/// eval-mode statistics should pass eval_forward=true.
-void check_gradients(Layer& layer, Tensor x, double tolerance = 2e-2) {
-  util::Rng rng(4242);
-  Tensor out = layer.forward(x, /*training=*/true);
-  const Tensor probe = random_tensor(out.shape(), rng);
-
-  zero_grads(layer.params());
-  const Tensor grad_in = layer.backward(probe);
-  ASSERT_EQ(grad_in.shape(), x.shape());
-
-  const float eps = 1e-2f;
-  // Input gradient, spot-checked on a subset of coordinates.
-  const std::int64_t stride = std::max<std::int64_t>(1, x.numel() / 25);
-  for (std::int64_t i = 0; i < x.numel(); i += stride) {
-    const float saved = x[i];
-    x[i] = saved + eps;
-    const double up = probe_loss(layer, x, probe);
-    x[i] = saved - eps;
-    const double down = probe_loss(layer, x, probe);
-    x[i] = saved;
-    const double numeric = (up - down) / (2.0 * eps);
-    EXPECT_NEAR(grad_in[i], numeric, tolerance + 0.05 * std::fabs(numeric))
-        << "input grad at " << i;
-  }
-
-  // Parameter gradients.
-  for (Param* p : layer.params()) {
-    const std::int64_t pstride = std::max<std::int64_t>(1, p->value.numel() / 15);
-    for (std::int64_t i = 0; i < p->value.numel(); i += pstride) {
-      const float saved = p->value[i];
-      p->value[i] = saved + eps;
-      const double up = probe_loss(layer, x, probe);
-      p->value[i] = saved - eps;
-      const double down = probe_loss(layer, x, probe);
-      p->value[i] = saved;
-      const double numeric = (up - down) / (2.0 * eps);
-      EXPECT_NEAR(p->grad[i], numeric, tolerance + 0.05 * std::fabs(numeric))
-          << p->name << " grad at " << i;
-    }
-  }
-}
+using tensor::Workspace;
+using harness::check_gradients;
+using harness::random_tensor;
+using harness::train_backward;
+using harness::train_forward;
 
 // --- Conv2d ---
 
@@ -104,7 +50,7 @@ TEST(Conv2d, IdentityKernelPassesThrough) {
   // Set the single weight to 1.
   conv.params()[0]->value[0] = 1.0f;
   Tensor x = random_tensor(Shape{1, 1, 4, 4}, rng);
-  const Tensor y = conv.forward(x, false);
+  const Tensor y = conv.forward(x);
   for (std::int64_t i = 0; i < x.numel(); ++i) EXPECT_FLOAT_EQ(y[i], x[i]);
 }
 
@@ -115,7 +61,7 @@ TEST(Conv2d, BiasIsAdded) {
   conv.params()[1]->value[0] = 1.5f;
   conv.params()[1]->value[1] = -2.0f;
   Tensor x = random_tensor(Shape{1, 1, 3, 3}, rng);
-  const Tensor y = conv.forward(x, false);
+  const Tensor y = conv.forward(x);
   for (std::int64_t i = 0; i < 9; ++i) {
     EXPECT_FLOAT_EQ(y[i], 1.5f);
     EXPECT_FLOAT_EQ(y[9 + i], -2.0f);
@@ -156,7 +102,7 @@ TEST(DepthwiseConv2d, ChannelsAreIndependent) {
   // the first channel's input.
   for (int i = 0; i < 9; ++i) dw.params()[0]->value[9 + i] = 0.0f;
   Tensor x = random_tensor(Shape{1, 2, 4, 4}, rng);
-  const Tensor y = dw.forward(x, false);
+  const Tensor y = dw.forward(x);
   for (std::int64_t i = 0; i < 16; ++i) EXPECT_FLOAT_EQ(y[16 + i], 0.0f);
 }
 
@@ -179,7 +125,8 @@ TEST(BatchNorm2d, NormalizesBatchStatistics) {
   BatchNorm2d bn(3);
   Tensor x = random_tensor(Shape{4, 3, 6, 6}, rng, 3.0f);
   for (float& v : x.span()) v += 5.0f;
-  const Tensor y = bn.forward(x, /*training=*/true);
+  Workspace ws;
+  const Tensor y = train_forward(bn, x, ws);
   // Per channel: mean ~0, var ~1 (gamma=1, beta=0 initially).
   for (std::int64_t c = 0; c < 3; ++c) {
     double sum = 0.0, sq = 0.0;
@@ -200,14 +147,15 @@ TEST(BatchNorm2d, EvalUsesRunningStats) {
   util::Rng rng(12);
   BatchNorm2d bn(2);
   // Run several training batches so running stats approach the true ones.
+  Workspace ws;
   for (int i = 0; i < 60; ++i) {
     Tensor x = random_tensor(Shape{8, 2, 4, 4}, rng, 2.0f);
     for (float& v : x.span()) v += 1.0f;
-    bn.forward(x, true);
+    train_forward(bn, x, ws);
   }
   Tensor x = random_tensor(Shape{4, 2, 4, 4}, rng, 2.0f);
   for (float& v : x.span()) v += 1.0f;
-  const Tensor y = bn.forward(x, /*training=*/false);
+  const Tensor y = bn.forward(x);
   EXPECT_NEAR(tensor::mean(y), 0.0, 0.2);
 }
 
@@ -264,7 +212,7 @@ TEST(MaxPool2d, SelectsMaxima) {
   MaxPool2d pool(2, 2);
   Tensor x(Shape{1, 1, 2, 2});
   x[0] = 1; x[1] = 5; x[2] = 2; x[3] = 3;
-  const Tensor y = pool.forward(x, false);
+  const Tensor y = pool.forward(x);
   EXPECT_EQ(y.numel(), 1);
   EXPECT_FLOAT_EQ(y[0], 5.0f);
 }
@@ -273,10 +221,11 @@ TEST(MaxPool2d, BackwardRoutesToArgmax) {
   MaxPool2d pool(2, 2);
   Tensor x(Shape{1, 1, 2, 2});
   x[0] = 1; x[1] = 5; x[2] = 2; x[3] = 3;
-  pool.forward(x, true);
+  Workspace ws;
+  train_forward(pool, x, ws);
   Tensor g(Shape{1, 1, 1, 1});
   g[0] = 7.0f;
-  const Tensor gx = pool.backward(g);
+  const Tensor gx = train_backward(pool, x, g, ws);
   EXPECT_FLOAT_EQ(gx[0], 0.0f);
   EXPECT_FLOAT_EQ(gx[1], 7.0f);
   EXPECT_FLOAT_EQ(gx[2], 0.0f);
@@ -293,7 +242,7 @@ TEST(GlobalAvgPool, AveragesPlanes) {
   Tensor x(Shape{1, 2, 2, 2});
   for (std::int64_t i = 0; i < 4; ++i) x[i] = 4.0f;      // channel 0
   for (std::int64_t i = 4; i < 8; ++i) x[i] = static_cast<float>(i);  // 4,5,6,7
-  const Tensor y = pool.forward(x, false);
+  const Tensor y = pool.forward(x);
   EXPECT_EQ(y.shape(), Shape({1, 2, 1, 1}));
   EXPECT_FLOAT_EQ(y[0], 4.0f);
   EXPECT_FLOAT_EQ(y[1], 5.5f);
@@ -316,7 +265,7 @@ TEST(Linear, ComputesAffineMap) {
   params[1]->value[0] = 10; params[1]->value[1] = 20;
   Tensor x(Shape{1, 2});
   x[0] = 1; x[1] = 1;
-  const Tensor y = fc.forward(x, false);
+  const Tensor y = fc.forward(x);
   EXPECT_FLOAT_EQ(y[0], 13.0f);
   EXPECT_FLOAT_EQ(y[1], 27.0f);
 }
@@ -331,9 +280,10 @@ TEST(Flatten, RoundTrip) {
   Flatten flat;
   util::Rng rng(19);
   Tensor x = random_tensor(Shape{2, 3, 4, 5}, rng);
-  const Tensor y = flat.forward(x, true);
+  Workspace ws;
+  const Tensor y = train_forward(flat, x, ws);
   EXPECT_EQ(y.shape(), Shape({2, 60}));
-  const Tensor gx = flat.backward(y);
+  const Tensor gx = train_backward(flat, x, y, ws);
   EXPECT_EQ(gx.shape(), x.shape());
 }
 
@@ -341,7 +291,7 @@ TEST(Dropout, InferenceIsIdentity) {
   util::Rng rng(20);
   Dropout drop(0.5f, rng);
   Tensor x = random_tensor(Shape{2, 10}, rng);
-  const Tensor y = drop.forward(x, /*training=*/false);
+  const Tensor y = drop.forward(x);
   for (std::int64_t i = 0; i < x.numel(); ++i) EXPECT_EQ(y[i], x[i]);
 }
 
@@ -349,7 +299,8 @@ TEST(Dropout, TrainingZeroesAndRescales) {
   util::Rng rng(21);
   Dropout drop(0.5f, rng);
   Tensor x = Tensor::full(Shape{1, 2000}, 1.0f);
-  const Tensor y = drop.forward(x, /*training=*/true);
+  Workspace ws;
+  const Tensor y = train_forward(drop, x, ws);
   std::int64_t zeros = 0;
   for (float v : y.span()) {
     if (v == 0.0f)
@@ -366,7 +317,7 @@ TEST(SqueezeExcite, GatesAreBounded) {
   util::Rng rng(22);
   SqueezeExcite se(4, 2, Activation::kSiLU, rng);
   Tensor x = random_tensor(Shape{2, 4, 3, 3}, rng);
-  const Tensor y = se.forward(x, false);
+  const Tensor y = se.forward(x);
   // |y| <= |x| since the gate is in (0, 1).
   for (std::int64_t i = 0; i < x.numel(); ++i)
     EXPECT_LE(std::fabs(y[i]), std::fabs(x[i]) + 1e-5f);
@@ -423,28 +374,42 @@ TEST(MBConvBlock, GradientCheckWithResidualAndSe) {
 
 // --- Sequential ---
 
-TEST(Sequential, ForwardToCutsPrefix) {
+/// Workspace-backed prefix forward through layers [0, last].
+Tensor forward_prefix(Sequential& net, const Tensor& x, std::size_t last) {
+  Tensor out(net.output_shape_at(x.shape(), last));
+  Workspace ws;
+  net.forward_into_to(x.view(), out.view(), ws, last);
+  return out;
+}
+
+TEST(Sequential, ForwardIntoToCutsPrefix) {
   util::Rng rng(27);
   Sequential net;
   net.emplace<Conv2d>(1, 2, 3, 1, 1, true, rng);
   net.emplace<ActivationLayer>(Activation::kReLU);
   net.emplace<MaxPool2d>(2, 2);
   Tensor x = random_tensor(Shape{1, 1, 4, 4}, rng);
-  const Tensor at1 = net.forward_to(x, 1);
+  const Tensor at1 = forward_prefix(net, x, 1);
   EXPECT_EQ(at1.shape(), Shape({1, 2, 4, 4}));
-  const Tensor at2 = net.forward_to(x, 2);
+  const Tensor at2 = forward_prefix(net, x, 2);
   EXPECT_EQ(at2.shape(), Shape({1, 2, 2, 2}));
+  // The cut is a true prefix: pooling the layer-1 activation gives layer 2.
+  const Tensor pooled = net.layer(2).forward(at1);
+  for (std::int64_t i = 0; i < at2.numel(); ++i) EXPECT_EQ(at2[i], pooled[i]);
+  EXPECT_THROW(forward_prefix(net, x, 3), std::out_of_range);
 }
 
-TEST(Sequential, OutputShapeAtMatchesForwardTo) {
+TEST(Sequential, OutputShapeAtMatchesLayerChain) {
   util::Rng rng(28);
   Sequential net;
   net.emplace<Conv2d>(3, 4, 3, 2, 1, false, rng);
   net.emplace<BatchNorm2d>(4);
   net.emplace<ActivationLayer>(Activation::kReLU6);
-  Tensor x = random_tensor(Shape{2, 3, 8, 8}, rng);
+  Tensor h = random_tensor(Shape{2, 3, 8, 8}, rng);
+  const Shape in = h.shape();
   for (std::size_t i = 0; i < net.size(); ++i) {
-    EXPECT_EQ(net.output_shape_at(x.shape(), i), net.forward_to(x, i).shape());
+    h = net.layer(i).forward(h);
+    EXPECT_EQ(net.output_shape_at(in, i), h.shape());
   }
 }
 
@@ -570,7 +535,9 @@ TEST(Serialize, RoundTripRestoresForward) {
   a.emplace<ActivationLayer>(Activation::kReLU);
 
   // Give BN nontrivial running stats.
-  for (int i = 0; i < 5; ++i) a.forward(random_tensor(Shape{4, 1, 4, 4}, rng), true);
+  Workspace ws;
+  for (int i = 0; i < 5; ++i)
+    train_forward(a, random_tensor(Shape{4, 1, 4, 4}, rng), ws);
 
   const std::vector<float> blob = save_state(a);
 
@@ -582,8 +549,8 @@ TEST(Serialize, RoundTripRestoresForward) {
   ASSERT_TRUE(load_state(b, blob));
 
   Tensor x = random_tensor(Shape{1, 1, 4, 4}, rng);
-  const Tensor ya = a.forward(x, false);
-  const Tensor yb = b.forward(x, false);
+  const Tensor ya = a.forward(x);
+  const Tensor yb = b.forward(x);
   for (std::int64_t i = 0; i < ya.numel(); ++i) EXPECT_FLOAT_EQ(ya[i], yb[i]);
 }
 
@@ -649,7 +616,7 @@ TEST(Trainer, PredictLogitsShapeAndConsistency) {
   const Tensor logits = predict_logits(net, ds, /*batch_size=*/4);
   EXPECT_EQ(logits.shape(), Shape({10, 3}));
   // Same input row => same logits independent of batching.
-  const Tensor one = net.forward(ds.sample(7).reshaped(Shape{1, 4}), false);
+  const Tensor one = net.forward(ds.sample(7).reshaped(Shape{1, 4}));
   for (std::int64_t c = 0; c < 3; ++c)
     EXPECT_NEAR(logits.at(7, c), one[c], 1e-5f);
 }

@@ -1,7 +1,8 @@
 // Property-based parameterized sweeps across module configuration grids:
-// shape-consistency of every layer geometry, bit-packing invariants at word
-// boundaries, encoder adjointness across dimensions, and HD-learning
-// convergence across class counts.
+// every layer geometry's forward against the independent reference in
+// reference_net.hpp, backward adjointness of the linear layers, bit-packing
+// invariants at word boundaries, encoder adjointness across dimensions, and
+// HD-learning convergence across class counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,34 +20,62 @@
 #include "nn/pool.hpp"
 #include "util/rng.hpp"
 
+#include "layer_harness.hpp"
+#include "reference_net.hpp"
+
 namespace nshd {
 namespace {
 
 using nn::Shape;
+using nn::harness::random_tensor;
+using nn::harness::train_backward;
+using nn::harness::train_forward;
 using tensor::Tensor;
+using tensor::Workspace;
 
-Tensor random_tensor(Shape shape, util::Rng& rng) {
-  Tensor t(std::move(shape));
-  for (float& v : t.span()) v = rng.normal();
-  return t;
+// Relative L2 distance allowed between one float layer and the double
+// reference: a few float roundings per output, far below any indexing bug.
+constexpr double kLayerTolerance = 1e-5;
+
+double dot(const Tensor& a, const Tensor& b) {
+  double sum = 0.0;
+  for (std::int64_t i = 0; i < a.numel(); ++i)
+    sum += static_cast<double>(a[i]) * b[i];
+  return sum;
 }
 
-// --- Conv2d geometry sweep: forward shape == declared output_shape, and the
-// backward pass returns an input-shaped gradient, for every geometry. ---
+/// For a layer affine in its input, y(x) = A x + y(0): backward_into must
+/// return A^T g, so <y(x) - y(0), g> == <x, A^T g>.
+void expect_backward_is_adjoint(nn::Layer& layer, const Tensor& x,
+                                util::Rng& rng) {
+  const Tensor y = layer.forward(x);
+  const Tensor y0 = layer.forward(Tensor(x.shape()));
+  const Tensor g = random_tensor(y.shape(), rng);
+  Workspace ws;
+  train_forward(layer, x, ws);
+  const Tensor gx = train_backward(layer, x, g, ws);
+  const double lhs = dot(y, g) - dot(y0, g);
+  const double rhs = dot(x, gx);
+  EXPECT_NEAR(lhs, rhs, 1e-4 * std::max(1.0, std::fabs(lhs))) << layer.name();
+}
+
+// --- Conv2d geometry sweep: forward matches the reference and its declared
+// output_shape, and backward is the adjoint, for every geometry. ---
 
 using ConvCase = std::tuple<int, int, int, int, int, int>;  // in_c,out_c,k,s,pad,hw
 
 class ConvGeometry : public ::testing::TestWithParam<ConvCase> {};
 
-TEST_P(ConvGeometry, ForwardShapeMatchesDeclared) {
+TEST_P(ConvGeometry, ForwardMatchesReferenceAndBackwardIsAdjoint) {
   const auto [in_c, out_c, k, s, pad, hw] = GetParam();
   util::Rng rng(1);
   nn::Conv2d conv(in_c, out_c, k, s, pad, true, rng);
   Tensor x = random_tensor(Shape{2, in_c, hw, hw}, rng);
-  const Tensor y = conv.forward(x, /*training=*/true);
-  EXPECT_EQ(y.shape(), conv.output_shape(x.shape()));
-  const Tensor gx = conv.backward(y);
-  EXPECT_EQ(gx.shape(), x.shape());
+  const Tensor y = conv.forward(x);
+  const Tensor want = reference::forward(conv, x);
+  ASSERT_EQ(want.shape(), conv.output_shape(x.shape()));
+  EXPECT_LT(reference::rel_l2(y, want), kLayerTolerance);
+  expect_backward_is_adjoint(conv, x, rng);
   EXPECT_GT(conv.macs_per_sample(Shape{in_c, hw, hw}), 0);
 }
 
@@ -56,13 +85,39 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{4, 2, 3, 2, 1, 9}, ConvCase{2, 5, 5, 2, 2, 12},
                       ConvCase{8, 8, 1, 1, 0, 7}, ConvCase{3, 16, 3, 2, 1, 32}));
 
+// --- Depthwise geometry sweep: the k3/k5 stride-1 SIMD rows, the generic
+// interior loop and the guarded border, across widths that leave vector
+// tails. ---
+
+using DwCase = std::tuple<int, int, int, int>;  // channels, k, s, hw
+
+class DepthwiseGeometry : public ::testing::TestWithParam<DwCase> {};
+
+TEST_P(DepthwiseGeometry, ForwardMatchesReferenceAndBackwardIsAdjoint) {
+  const auto [channels, k, s, hw] = GetParam();
+  util::Rng rng(8);
+  nn::DepthwiseConv2d dw(channels, k, s, k / 2, rng);
+  Tensor x = random_tensor(Shape{2, channels, hw, hw + 3}, rng);
+  const Tensor want = reference::forward(dw, x);
+  ASSERT_EQ(want.shape(), dw.output_shape(x.shape()));
+  EXPECT_LT(reference::rel_l2(dw.forward(x), want), kLayerTolerance);
+  expect_backward_is_adjoint(dw, x, rng);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, DepthwiseGeometry,
+    ::testing::Values(DwCase{3, 3, 1, 5}, DwCase{4, 3, 1, 17},
+                      DwCase{2, 5, 1, 6}, DwCase{3, 5, 1, 21},
+                      DwCase{4, 3, 2, 9}, DwCase{3, 5, 2, 14},
+                      DwCase{2, 7, 1, 10}));
+
 // --- MBConv configuration sweep ---
 
 using MBCase = std::tuple<int, int, int, int, int, bool>;  // in,out,expand,k,s,se
 
 class MBConvSweep : public ::testing::TestWithParam<MBCase> {};
 
-TEST_P(MBConvSweep, ForwardBackwardShapes) {
+TEST_P(MBConvSweep, ForwardMatchesReferenceAndBackwardRuns) {
   const auto [in_c, out_c, expand, k, s, se] = GetParam();
   util::Rng rng(2);
   nn::MBConvConfig config;
@@ -74,11 +129,15 @@ TEST_P(MBConvSweep, ForwardBackwardShapes) {
   config.use_se = se;
   nn::MBConvBlock block(config, rng);
   Tensor x = random_tensor(Shape{2, in_c, 8, 8}, rng);
-  const Tensor y = block.forward(x, /*training=*/true);
-  EXPECT_EQ(y.shape(), block.output_shape(x.shape()));
   EXPECT_EQ(block.has_residual(), s == 1 && in_c == out_c);
-  const Tensor gx = block.backward(y);
-  EXPECT_EQ(gx.shape(), x.shape());
+  const Tensor want = reference::forward(block, x);
+  ASSERT_EQ(want.shape(), block.output_shape(x.shape()));
+  EXPECT_LT(reference::rel_l2(block.forward(x), want), kLayerTolerance);
+
+  Workspace ws;
+  const Tensor y = train_forward(block, x, ws);
+  const Tensor gx = train_backward(block, x, y, ws);
+  for (const float v : gx.span()) ASSERT_TRUE(std::isfinite(v));
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, MBConvSweep,
@@ -162,8 +221,10 @@ TEST_P(PoolSweep, MaxPoolNeverInventsValues) {
   util::Rng rng(6);
   nn::MaxPool2d pool(k, s);
   Tensor x = random_tensor(Shape{1, 3, hw, hw}, rng);
-  const Tensor y = pool.forward(x, false);
-  EXPECT_EQ(y.shape(), pool.output_shape(x.shape()));
+  const Tensor y = pool.forward(x);
+  const Tensor want = reference::forward(pool, x);
+  ASSERT_EQ(want.shape(), y.shape());
+  EXPECT_EQ(reference::rel_l2(y, want), 0.0);  // max selects, never rounds
   const float x_max = *std::max_element(x.span().begin(), x.span().end());
   for (float v : y.span()) EXPECT_LE(v, x_max);
 }
@@ -173,7 +234,8 @@ INSTANTIATE_TEST_SUITE_P(Geometries, PoolSweep,
                                            PoolCase{2, 1, 5}, PoolCase{3, 3, 12}));
 
 // --- BatchNorm across channel counts: training output is always
-// zero-mean/unit-variance per channel. ---
+// zero-mean/unit-variance per channel, and the eval path (running stats the
+// training pass just updated) matches the reference. ---
 
 class BatchNormSweep : public ::testing::TestWithParam<std::int64_t> {};
 
@@ -183,7 +245,8 @@ TEST_P(BatchNormSweep, NormalizesEveryChannelCount) {
   nn::BatchNorm2d bn(channels);
   Tensor x = random_tensor(Shape{4, channels, 5, 5}, rng);
   for (float& v : x.span()) v = v * 3.0f + 2.0f;
-  const Tensor y = bn.forward(x, true);
+  Workspace ws;
+  const Tensor y = train_forward(bn, x, ws);
   for (std::int64_t c = 0; c < channels; ++c) {
     double sum = 0.0, sq = 0.0;
     for (std::int64_t n = 0; n < 4; ++n) {
@@ -196,10 +259,46 @@ TEST_P(BatchNormSweep, NormalizesEveryChannelCount) {
     EXPECT_NEAR(sum / 100.0, 0.0, 1e-3);
     EXPECT_NEAR(sq / 100.0, 1.0, 2e-2);
   }
+  EXPECT_LT(reference::rel_l2(bn.forward(x), reference::forward(bn, x)),
+            kLayerTolerance);
 }
 
 INSTANTIATE_TEST_SUITE_P(Channels, BatchNormSweep,
                          ::testing::Values<std::int64_t>(1, 2, 7, 16));
+
+// --- Squeeze-excite, global pooling and the FC head against the reference
+// for every mid activation. ---
+
+class HeadSweep : public ::testing::TestWithParam<nn::Activation> {};
+
+TEST_P(HeadSweep, SqueezeExciteMatchesReference) {
+  util::Rng rng(10);
+  nn::SqueezeExcite se(6, 3, GetParam(), rng);
+  Tensor x = random_tensor(Shape{3, 6, 5, 4}, rng);
+  const std::vector<nn::Param*> p = se.params();
+  const Tensor want = reference::squeeze_excite(
+      x, p[0]->value, p[1]->value, p[2]->value, p[3]->value, GetParam());
+  EXPECT_LT(reference::rel_l2(se.forward(x), want), kLayerTolerance);
+}
+
+TEST_P(HeadSweep, PoolFlattenLinearMatchReference) {
+  util::Rng rng(11);
+  nn::Sequential head;
+  head.emplace<nn::GlobalAvgPool>();
+  head.emplace<nn::Flatten>();
+  head.emplace<nn::Linear>(9, 5, rng);
+  head.emplace<nn::ActivationLayer>(GetParam());
+  head.emplace<nn::Linear>(5, 3, rng);
+  Tensor x = random_tensor(Shape{4, 9, 3, 5}, rng);
+  EXPECT_LT(reference::rel_l2(head.forward(x), reference::forward(head, x)),
+            kLayerTolerance);
+}
+
+INSTANTIATE_TEST_SUITE_P(Activations, HeadSweep,
+                         ::testing::Values(nn::Activation::kReLU,
+                                           nn::Activation::kReLU6,
+                                           nn::Activation::kSiLU,
+                                           nn::Activation::kSigmoid));
 
 // --- IdLevel encoder: similarity decays monotonically (on average) with
 // level distance for every level count. ---
@@ -271,6 +370,16 @@ TEST_P(ActivationSweep, GradMatchesFiniteDifference) {
   const float numeric =
       (nn::activate(act, x + eps) - nn::activate(act, x - eps)) / (2.0f * eps);
   EXPECT_NEAR(nn::activate_grad(act, x), numeric, 2e-3f);
+}
+
+TEST_P(ActivationSweep, LayerMatchesReference) {
+  const auto [act, offset] = GetParam();
+  util::Rng rng(9);
+  nn::ActivationLayer layer(act);
+  Tensor x = random_tensor(Shape{2, 3, 5, 7}, rng, 4.0f);
+  for (float& v : x.span()) v += offset;
+  EXPECT_LT(reference::rel_l2(layer.forward(x), reference::forward(layer, x)),
+            kLayerTolerance);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -120,10 +120,13 @@ TEST_F(Recovery, CheckpointStateFileRoundTripRestoresForward) {
   a.emplace<nn::BatchNorm2d>(2);
   a.emplace<nn::ActivationLayer>(nn::Activation::kReLU);
   // Nontrivial BatchNorm running stats must survive the trip.
+  tensor::Workspace ws;
   for (int i = 0; i < 5; ++i) {
     Tensor x(Shape{4, 1, 4, 4});
     for (float& v : x.span()) v = rng.normal(0.0f, 1.0f);
-    a.forward(x, true);
+    Tensor y(a.output_shape(x.shape()));
+    ws.reset();
+    a.forward_train_into(x.view(), y.view(), ws);
   }
 
   const auto dir = std::filesystem::temp_directory_path() /
@@ -142,8 +145,8 @@ TEST_F(Recovery, CheckpointStateFileRoundTripRestoresForward) {
 
   Tensor x(Shape{1, 1, 4, 4});
   for (float& v : x.span()) v = rng.normal(0.0f, 1.0f);
-  const Tensor ya = a.forward(x, false);
-  const Tensor yb = b.forward(x, false);
+  const Tensor ya = a.forward(x);
+  const Tensor yb = b.forward(x);
   for (std::int64_t i = 0; i < ya.numel(); ++i) EXPECT_EQ(ya[i], yb[i]);
   std::filesystem::remove_all(dir);
 }

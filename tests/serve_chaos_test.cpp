@@ -226,8 +226,9 @@ TEST_F(ServeChaos, ReloadCorruptMidTrafficKeepsOldWeightsServing) {
     int i = 0;
     while (!stop.load()) {
       std::future<Response> future;
-      if (engine.submit("m", ds.sample(i++ % ds.size()), &future) == SubmitStatus::kOk)
+      if (engine.submit("m", ds.sample(i++ % ds.size()), &future) == SubmitStatus::kOk) {
         EXPECT_EQ(future.get().status, RequestStatus::kOk);
+      }
     }
   });
   util::fault::arm_every("serve.reload_corrupt");
@@ -316,8 +317,9 @@ TEST_F(ServeChaos, PoisonTrafficLeavesHealthyCoModelBitwiseIntact) {
       tensor::Tensor poison = ds.sample(i % ds.size());
       poison.data()[0] = std::numeric_limits<float>::quiet_NaN();
       std::future<Response> future;
-      if (engine.submit("bad", poison, &future) == SubmitStatus::kOk)
+      if (engine.submit("bad", poison, &future) == SubmitStatus::kOk) {
         EXPECT_EQ(future.get().status, RequestStatus::kInternalError);
+      }
     }
   });
   for (int i = 0; i < kEach; ++i) {

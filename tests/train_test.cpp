@@ -1,9 +1,7 @@
-// Tests for the planned zero-alloc training path: finite-difference checks
-// of every layer's backward_into, bitwise parity between the legacy
-// allocating trainer loop and the TrainingPlan path, thread-count and
-// prefetch-depth invariance of the accumulated gradients, kill-resume
-// through the planned path, the train.* fault sites, and the
-// backward-after-forward training-state contract.
+// Tests for the zero-alloc training path: finite-difference checks of every
+// layer's backward_into, thread-count and prefetch-depth invariance of the
+// accumulated gradients, kill-resume through TrainingPlan, the train.* fault
+// sites, and the backward-after-forward training-state contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -28,6 +26,8 @@
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
+#include "layer_harness.hpp"
+
 namespace nshd::nn {
 namespace {
 
@@ -35,32 +35,9 @@ using tensor::Shape;
 using tensor::Tensor;
 using tensor::TensorView;
 using tensor::Workspace;
-
-Tensor random_tensor(Shape shape, util::Rng& rng, float scale = 1.0f) {
-  Tensor t(std::move(shape));
-  for (float& v : t.span()) v = rng.normal(0.0f, scale);
-  return t;
-}
-
-std::vector<Tensor> snapshot_state(Layer& layer) {
-  std::vector<Tensor*> ptrs;
-  layer.append_state(ptrs);
-  std::vector<Tensor> out;
-  out.reserve(ptrs.size());
-  for (const Tensor* t : ptrs) out.push_back(*t);
-  return out;
-}
-
-void restore_state(Layer& layer, const std::vector<Tensor>& snapshot) {
-  std::vector<Tensor*> ptrs;
-  layer.append_state(ptrs);
-  ASSERT_EQ(ptrs.size(), snapshot.size());
-  for (std::size_t i = 0; i < ptrs.size(); ++i) {
-    ASSERT_EQ(ptrs[i]->numel(), snapshot[i].numel());
-    std::memcpy(ptrs[i]->data(), snapshot[i].data(),
-                static_cast<std::size_t>(snapshot[i].numel()) * sizeof(float));
-  }
-}
+using harness::check_gradients;
+using harness::random_tensor;
+using harness::train_forward;
 
 bool tensors_bitwise_equal(const Tensor& a, const Tensor& b) {
   return a.numel() == b.numel() &&
@@ -92,157 +69,81 @@ bool tensors_bitwise_equal(const Tensor& a, const Tensor& b) {
   return ::testing::AssertionSuccess();
 }
 
-/// Probe loss sum(out .* probe) through the planned training forward.
-/// Callers restore the layer's state (params, batch-norm running stats,
-/// dropout step counters) to the baseline before each call — append_state
-/// covers the param values too, so a restore inside this function would
-/// undo the caller's finite-difference perturbation.
-double planned_loss(Layer& layer, const Tensor& x, const Tensor& probe,
-                    Workspace& ws) {
-  ws.reset();
-  Tensor out(layer.output_shape(x.shape()));
-  layer.forward_train_into(x.view(), out.view(), ws);
-  double loss = 0.0;
-  for (std::int64_t i = 0; i < out.numel(); ++i)
-    loss += static_cast<double>(out[i]) * probe[i];
-  return loss;
-}
-
-/// Finite-difference check of backward_into through the planned API
-/// (forward_train_into + backward_into on a shared workspace).
-void check_planned_gradients(Layer& layer, Tensor x, double tolerance = 2e-2,
-                             float eps = 1e-2f) {
-  util::Rng rng(4242);
-  Workspace ws;
-  const std::vector<Tensor> state0 = snapshot_state(layer);
-  const Tensor probe = random_tensor(layer.output_shape(x.shape()), rng);
-
-  restore_state(layer, state0);
-  ws.reset();
-  zero_grads(layer.params());
-  Tensor out(layer.output_shape(x.shape()));
-  layer.forward_train_into(x.view(), out.view(), ws);
-  Tensor grad_in(x.shape());
-  layer.backward_into(x.view(), probe.view(), grad_in.view(), ws);
-
-  // Copy the analytic gradients out before the numeric passes overwrite
-  // anything.
-  std::vector<Tensor> param_grads;
-  for (Param* p : layer.params()) param_grads.push_back(p->grad);
-
-  // Each numeric evaluation restores the full baseline first (pinning the
-  // batch-norm stats and dropout step), then applies one perturbation.
-  const std::int64_t stride = std::max<std::int64_t>(1, x.numel() / 20);
-  for (std::int64_t i = 0; i < x.numel(); i += stride) {
-    const float saved = x[i];
-    restore_state(layer, state0);
-    x[i] = saved + eps;
-    const double up = planned_loss(layer, x, probe, ws);
-    restore_state(layer, state0);
-    x[i] = saved - eps;
-    const double down = planned_loss(layer, x, probe, ws);
-    x[i] = saved;
-    const double numeric = (up - down) / (2.0 * eps);
-    EXPECT_NEAR(grad_in[i], numeric, tolerance + 0.05 * std::fabs(numeric))
-        << layer.name() << " input grad at " << i;
-  }
-
-  const std::vector<Param*> params = layer.params();
-  for (std::size_t pi = 0; pi < params.size(); ++pi) {
-    Param* p = params[pi];
-    const std::int64_t pstride = std::max<std::int64_t>(1, p->value.numel() / 12);
-    for (std::int64_t i = 0; i < p->value.numel(); i += pstride) {
-      restore_state(layer, state0);
-      const float saved = p->value[i];
-      p->value[i] = saved + eps;
-      const double up = planned_loss(layer, x, probe, ws);
-      restore_state(layer, state0);
-      p->value[i] = saved - eps;
-      const double down = planned_loss(layer, x, probe, ws);
-      const double numeric = (up - down) / (2.0 * eps);
-      EXPECT_NEAR(param_grads[pi][i], numeric,
-                  tolerance + 0.05 * std::fabs(numeric))
-          << layer.name() << " " << p->name << " grad at " << i;
-    }
-  }
-  restore_state(layer, state0);
-}
-
-// --- Finite-difference checks, planned API, every layer type ---
+// --- Finite-difference checks, every layer type ---
 
 TEST(PlannedGradient, Conv2dOddShapes) {
   util::Rng rng(11);
   Conv2d conv(3, 5, 3, 2, 1, /*bias=*/true, rng);
-  check_planned_gradients(conv, random_tensor(Shape{7, 3, 7, 5}, rng));
+  check_gradients(conv, random_tensor(Shape{7, 3, 7, 5}, rng));
 }
 
 TEST(PlannedGradient, Conv2dBatchOne) {
   util::Rng rng(12);
   Conv2d conv(2, 4, 3, 1, 1, /*bias=*/true, rng);
-  check_planned_gradients(conv, random_tensor(Shape{1, 2, 5, 5}, rng));
+  check_gradients(conv, random_tensor(Shape{1, 2, 5, 5}, rng));
 }
 
 TEST(PlannedGradient, PointwiseConv2d) {
   // The 1x1/s1/p0 backward takes the im2col-free fast path.
   util::Rng rng(13);
   Conv2d conv(4, 6, 1, 1, 0, /*bias=*/true, rng);
-  check_planned_gradients(conv, random_tensor(Shape{7, 4, 5, 3}, rng));
+  check_gradients(conv, random_tensor(Shape{7, 4, 5, 3}, rng));
 }
 
 TEST(PlannedGradient, DepthwiseConv2d) {
   util::Rng rng(14);
   DepthwiseConv2d conv(4, 3, 1, 1, rng);
-  check_planned_gradients(conv, random_tensor(Shape{7, 4, 6, 5}, rng));
+  check_gradients(conv, random_tensor(Shape{7, 4, 6, 5}, rng));
 }
 
 TEST(PlannedGradient, BatchNorm2d) {
   util::Rng rng(15);
   BatchNorm2d bn(5);
-  check_planned_gradients(bn, random_tensor(Shape{7, 5, 4, 3}, rng), 5e-2);
+  check_gradients(bn, random_tensor(Shape{7, 5, 4, 3}, rng), 5e-2);
 }
 
 TEST(PlannedGradient, ActivationSiLU) {
   util::Rng rng(16);
   ActivationLayer act(Activation::kSiLU);
-  check_planned_gradients(act, random_tensor(Shape{7, 6, 5, 4}, rng));
+  check_gradients(act, random_tensor(Shape{7, 6, 5, 4}, rng));
 }
 
 TEST(PlannedGradient, MaxPool2d) {
   util::Rng rng(17);
   MaxPool2d pool(2, 2);
-  check_planned_gradients(pool, random_tensor(Shape{7, 3, 6, 4}, rng));
+  check_gradients(pool, random_tensor(Shape{7, 3, 6, 4}, rng));
 }
 
 TEST(PlannedGradient, GlobalAvgPool) {
   util::Rng rng(18);
   GlobalAvgPool pool;
-  check_planned_gradients(pool, random_tensor(Shape{7, 5, 4, 6}, rng));
+  check_gradients(pool, random_tensor(Shape{7, 5, 4, 6}, rng));
 }
 
 TEST(PlannedGradient, Linear) {
   util::Rng rng(19);
   Linear linear(10, 7, rng);
-  check_planned_gradients(linear, random_tensor(Shape{7, 10}, rng));
+  check_gradients(linear, random_tensor(Shape{7, 10}, rng));
 }
 
 TEST(PlannedGradient, Flatten) {
   util::Rng rng(20);
   Flatten flatten;
-  check_planned_gradients(flatten, random_tensor(Shape{7, 3, 4, 2}, rng));
+  check_gradients(flatten, random_tensor(Shape{7, 3, 4, 2}, rng));
 }
 
 TEST(PlannedGradient, Dropout) {
-  // The state snapshot/restore in check_planned_gradients pins the step
+  // The state snapshot/restore in check_gradients pins the step
   // counter, so every finite-difference evaluation sees the same mask.
   util::Rng rng(21);
   Dropout dropout(0.3f, rng);
-  check_planned_gradients(dropout, random_tensor(Shape{7, 5, 3, 2}, rng));
+  check_gradients(dropout, random_tensor(Shape{7, 5, 3, 2}, rng));
 }
 
 TEST(PlannedGradient, SqueezeExcite) {
   util::Rng rng(22);
   SqueezeExcite se(6, 3, Activation::kSiLU, rng);
-  check_planned_gradients(se, random_tensor(Shape{5, 6, 4, 3}, rng, 0.5f), 5e-2);
+  check_gradients(se, random_tensor(Shape{5, 6, 4, 3}, rng, 0.5f), 5e-2);
 }
 
 TEST(PlannedGradient, MBConvResidual) {
@@ -257,7 +158,7 @@ TEST(PlannedGradient, MBConvResidual) {
   cfg.se_reduction = 2;
   cfg.activation = Activation::kSiLU;
   MBConvBlock block(cfg, rng);
-  check_planned_gradients(block, random_tensor(Shape{3, 6, 5, 5}, rng, 0.5f), 8e-2);
+  check_gradients(block, random_tensor(Shape{3, 6, 5, 5}, rng, 0.5f), 8e-2);
 }
 
 TEST(PlannedGradient, MBConvNonResidual) {
@@ -273,7 +174,7 @@ TEST(PlannedGradient, MBConvNonResidual) {
   MBConvBlock block(cfg, rng);
   // Deep chains need a tighter probe step: at eps=1e-2 the central difference
   // picks up curvature (and ReLU6 kinks) from every downstream layer.
-  check_planned_gradients(block, random_tensor(Shape{3, 6, 6, 6}, rng, 0.5f),
+  check_gradients(block, random_tensor(Shape{3, 6, 6, 6}, rng, 0.5f),
                           8e-2, 5e-4f);
 }
 
@@ -289,61 +190,12 @@ TEST(PlannedGradient, SequentialStackAcrossBatchSizes) {
     net.emplace<Linear>(6 * 3 * 2, 4, rng);
     // eps=5e-4: through six layers the fd estimate at eps=1e-2 is dominated
     // by third-order terms (verified to converge to the analytic value).
-    check_planned_gradients(net, random_tensor(Shape{batch, 3, 6, 4}, rng),
+    check_gradients(net, random_tensor(Shape{batch, 3, 6, 4}, rng),
                             5e-2, 5e-4f);
   }
 }
 
-TEST(PlannedGradient, MatchesLegacyBackwardBitwise) {
-  // The legacy backward delegates to backward_into, so both paths must emit
-  // the same gradient bits; this guards the delegation wiring itself.
-  util::Rng rng(26);
-  Conv2d conv(3, 5, 3, 1, 1, true, rng);
-  Tensor x = random_tensor(Shape{4, 3, 6, 6}, rng);
-  const Tensor probe = random_tensor(Shape{4, 5, 6, 6}, rng);
-
-  zero_grads(conv.params());
-  conv.forward(x, /*training=*/true);
-  const Tensor legacy_grad_in = conv.backward(probe);
-  std::vector<Tensor> legacy_grads;
-  for (Param* p : conv.params()) legacy_grads.push_back(p->grad);
-
-  zero_grads(conv.params());
-  Workspace ws;
-  Tensor out(conv.output_shape(x.shape()));
-  conv.forward_train_into(x.view(), out.view(), ws);
-  Tensor planned_grad_in(x.shape());
-  conv.backward_into(x.view(), probe.view(), planned_grad_in.view(), ws);
-
-  EXPECT_TRUE(tensors_bitwise_equal(legacy_grad_in, planned_grad_in));
-  const std::vector<Param*> params = conv.params();
-  for (std::size_t i = 0; i < params.size(); ++i)
-    EXPECT_TRUE(tensors_bitwise_equal(legacy_grads[i], params[i]->grad))
-        << params[i]->name;
-}
-
 // --- Training-state contract ---
-
-TEST(TrainingState, BackwardBeforeTrainingForwardThrows) {
-  util::Rng rng(31);
-  Conv2d conv(2, 3, 3, 1, 1, true, rng);
-  Tensor g = random_tensor(Shape{2, 3, 4, 4}, rng);
-  EXPECT_THROW(conv.backward(g), TrainingStateError);
-
-  // Eval-mode forward must not arm the backward path either.
-  Tensor x = random_tensor(Shape{2, 2, 4, 4}, rng);
-  conv.forward(x, /*training=*/false);
-  EXPECT_THROW(conv.backward(g), TrainingStateError);
-}
-
-TEST(TrainingState, StaleBatchShapeThrows) {
-  util::Rng rng(32);
-  Linear linear(6, 4, rng);
-  Tensor x = random_tensor(Shape{5, 6}, rng);
-  linear.forward(x, /*training=*/true);
-  Tensor wrong = random_tensor(Shape{3, 4}, rng);  // batch 3 != cached 5
-  EXPECT_THROW(linear.backward(wrong), TrainingStateError);
-}
 
 TEST(TrainingState, SequentialTapeIsSingleUse) {
   util::Rng rng(33);
@@ -363,6 +215,31 @@ TEST(TrainingState, SequentialTapeIsSingleUse) {
   net.backward_into(x.view(), probe.view(), grad_in.view(), ws);
   // The tape was consumed; a second backward must not silently reuse it.
   EXPECT_THROW(net.backward_into(x.view(), probe.view(), grad_in.view(), ws),
+               TrainingStateError);
+}
+
+TEST(TrainingState, StaleGradientShapeThrows) {
+  // A grad_output that does not match the recorded training forward is a
+  // typed error, never a read of stale state: Sequential checks it against
+  // its tape, Dropout against the element count of its last mask.
+  util::Rng rng(32);
+  Workspace ws;
+  Sequential net;
+  net.emplace<Linear>(6, 4, rng);
+  const Tensor x = random_tensor(Shape{5, 6}, rng);
+  train_forward(net, x, ws);
+  const Tensor wrong = random_tensor(Shape{3, 4}, rng);  // batch 3 != 5
+  Tensor grad_in(x.shape());
+  EXPECT_THROW(net.backward_into(x.view(), wrong.view(), grad_in.view(), ws),
+               TrainingStateError);
+
+  Dropout dropout(0.5f, rng);
+  const Tensor y = random_tensor(Shape{5, 6}, rng);
+  train_forward(dropout, y, ws);
+  const Tensor small(Shape{3, 6});
+  Tensor grad_small(small.shape());
+  EXPECT_THROW(dropout.backward_into(small.view(), small.view(),
+                                     grad_small.view(), ws),
                TrainingStateError);
 }
 
@@ -429,14 +306,15 @@ TEST(Dropout, CounterStreamIsReproducibleAndAdvances) {
   Dropout b(0.4f, rng_b);
   Tensor x = random_tensor(Shape{3, 4, 2, 2}, data_rng);
 
-  const Tensor y_a = a.forward(x, /*training=*/true);
-  const Tensor y_b = b.forward(x, /*training=*/true);
+  Workspace ws;
+  const Tensor y_a = train_forward(a, x, ws);
+  const Tensor y_b = train_forward(b, x, ws);
   EXPECT_TRUE(tensors_bitwise_equal(y_a, y_b));  // same seed, same step
 
-  const Tensor y_a2 = a.forward(x, /*training=*/true);
+  const Tensor y_a2 = train_forward(a, x, ws);
   EXPECT_FALSE(tensors_bitwise_equal(y_a, y_a2));  // step advanced
 
-  const Tensor eval = a.forward(x, /*training=*/false);
+  const Tensor eval = a.forward(x);
   EXPECT_TRUE(tensors_bitwise_equal(eval, x));  // inference is identity
 
   // The mask is a pure function of (seed, step, index): any thread count
@@ -445,7 +323,7 @@ TEST(Dropout, CounterStreamIsReproducibleAndAdvances) {
   util::set_thread_count(4);
   util::Rng rng_c(5);
   Dropout c(0.4f, rng_c);
-  const Tensor y_c = c.forward(x, /*training=*/true);
+  const Tensor y_c = train_forward(c, x, ws);
   util::set_thread_count(threads_before);
   EXPECT_TRUE(tensors_bitwise_equal(y_a, y_c));
 }
@@ -543,30 +421,6 @@ TrainConfig base_config() {
   config.seed = 7;
   config.prefetch_depth = 0;
   return config;
-}
-
-TEST(Trainer, PlannedMatchesLegacyBitwise) {
-  const data::Dataset set = small_dataset();
-
-  Sequential legacy_model = build_parity_model(100);
-  TrainConfig legacy_config = base_config();
-  legacy_config.planned = false;
-  const TrainReport legacy_report =
-      train_classifier(legacy_model, set, legacy_config);
-
-  Sequential planned_model = build_parity_model(100);
-  TrainConfig planned_config = base_config();
-  planned_config.planned = true;
-  const TrainReport planned_report =
-      train_classifier(planned_model, set, planned_config);
-
-  ASSERT_EQ(legacy_report.epochs.size(), planned_report.epochs.size());
-  for (std::size_t e = 0; e < legacy_report.epochs.size(); ++e) {
-    EXPECT_EQ(legacy_report.epochs[e].loss, planned_report.epochs[e].loss);
-    EXPECT_EQ(legacy_report.epochs[e].accuracy,
-              planned_report.epochs[e].accuracy);
-  }
-  EXPECT_TRUE(models_bitwise_equal(legacy_model, planned_model));
 }
 
 TEST(Trainer, PrefetchDepthDoesNotChangeWeights) {
