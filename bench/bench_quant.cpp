@@ -2,15 +2,16 @@
 // cross-check.
 //
 // Part 1 (throughput): for every zoo model and paper cut this harness
-// extracts features from the same dataset through the f32 InferencePlan and
-// the calibrated QuantizedInferencePlan at a fixed thread count (default 1,
-// the acceptance configuration) and reports samples/sec for both.  Before
-// timing, the int8 path is gated: outputs must be bitwise deterministic
-// across repeated runs, a plan with no int8 layers must match the f32 plan
-// bit for bit, and a plan with int8 layers must stay within a small relative
-// L2 error of f32.  Each row also carries hw::quant_cross_check — the
-// DPU-model analytic INT8 throughput for the same prefix against the
-// measured CPU number.
+// extracts features from the same dataset through an f32 nn::Plan and a
+// calibrated int8 one at a fixed thread count (default 1, the acceptance
+// configuration) and reports samples/sec for both.  Before timing, the int8
+// path is gated: outputs must be bitwise deterministic across repeated runs,
+// a plan with no int8 layers must match the f32 plan bit for bit, and a plan
+// with int8 layers must stay within a small relative L2 error of f32.  A
+// plan with no int8 layers runs the same f32 tape as the f32 plan, so it is
+// gated but not timed, and gets no speedup.  Each timed row also carries
+// hw::quant_cross_check — the DPU-model analytic INT8 throughput for the
+// same prefix against the measured CPU number.
 //
 // Part 2 (accuracy, skipped with --no_accuracy): the fig7/fig10 experiment
 // context trains NSHD per model at its deepest paper cut and evaluates the
@@ -34,7 +35,6 @@
 #include "hw/fpga.hpp"
 #include "models/zoo.hpp"
 #include "nn/plan.hpp"
-#include "nn/quant_plan.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/simd.hpp"
 #include "util/cli.hpp"
@@ -76,6 +76,7 @@ double relative_l2(const tensor::Tensor& x, const tensor::Tensor& ref) {
 struct ThroughputRecord {
   std::string model;
   std::size_t cut = 0;
+  bool timed = false;  // false for all-fallback plans: both arms are f32
   double f32_sps = 0.0;
   double int8_sps = 0.0;
   std::int64_t int8_layers = 0;
@@ -171,16 +172,18 @@ int main(int argc, char** argv) {
         continue;
       }
 
-      const double f32_s = best_seconds(
-          reps, [&] { core::extract_features(plan, dataset, batch); });
-      const double int8_s = best_seconds(
-          reps, [&] { core::extract_features(qplan, dataset, batch); });
-
       ThroughputRecord rec;
       rec.model = name;
       rec.cut = cut;
-      rec.f32_sps = n / f32_s;
-      rec.int8_sps = n / int8_s;
+      rec.timed = report.int8_layers > 0;
+      if (rec.timed) {
+        rec.f32_sps = n / best_seconds(reps, [&] {
+          core::extract_features(plan, dataset, batch);
+        });
+        rec.int8_sps = n / best_seconds(reps, [&] {
+          core::extract_features(qplan, dataset, batch);
+        });
+      }
       rec.int8_layers = report.int8_layers;
       rec.fallback_layers = report.fallback_layers;
       rec.rel_l2 = rel;
@@ -191,17 +194,20 @@ int main(int argc, char** argv) {
           cut + 1, rec.int8_sps);
       rec.analytic_fps = check.analytic_fps;
       rec.analytic_over_measured = check.analytic_over_measured;
-      if (rec.int8_layers > 0)
+      if (rec.timed)
         best_int8_speedup = std::max(best_int8_speedup, rec.int8_sps / rec.f32_sps);
       records.push_back(rec);
 
+      const std::string untimed = "-";
       table.add_row({name, util::cell(static_cast<int>(cut)),
-                     util::cell(rec.f32_sps, 1), util::cell(rec.int8_sps, 1),
-                     util::cell(rec.int8_sps / rec.f32_sps, 2) + "x",
+                     rec.timed ? util::cell(rec.f32_sps, 1) : untimed,
+                     rec.timed ? util::cell(rec.int8_sps, 1) : untimed,
+                     rec.timed ? util::cell(rec.int8_sps / rec.f32_sps, 2) + "x" : untimed,
                      util::cell(static_cast<int>(rec.int8_layers)) + "/" +
                          util::cell(static_cast<int>(rec.fallback_layers)),
                      util::cell(rec.rel_l2, 4),
-                     util::cell(rec.analytic_over_measured, 1) + "x"});
+                     rec.timed ? util::cell(rec.analytic_over_measured, 1) + "x"
+                               : untimed});
     }
   }
 
@@ -271,16 +277,21 @@ int main(int argc, char** argv) {
         json.begin_object();
         json.field("model", r.model);
         json.field("cut", r.cut);
-        json.field("f32_samples_per_sec", r.f32_sps, 2);
-        json.field("int8_samples_per_sec", r.int8_sps, 2);
-        json.field("speedup", r.int8_sps / r.f32_sps, 3);
+        json.field("timed", r.timed);
+        if (r.timed) {
+          json.field("f32_samples_per_sec", r.f32_sps, 2);
+          json.field("int8_samples_per_sec", r.int8_sps, 2);
+          json.field("speedup", r.int8_sps / r.f32_sps, 3);
+        }
         json.field("int8_layers", r.int8_layers);
         json.field("fallback_layers", r.fallback_layers);
         json.field("relative_l2_vs_f32", r.rel_l2, 5);
         json.field("planned_workspace_bytes", r.planned_bytes);
         json.field("peak_workspace_bytes", r.peak_bytes);
         json.field("fpga_analytic_fps", r.analytic_fps, 1);
-        json.field("fpga_analytic_over_measured", r.analytic_over_measured, 2);
+        if (r.timed) {
+          json.field("fpga_analytic_over_measured", r.analytic_over_measured, 2);
+        }
         json.end_object();
       }
       json.end_array();

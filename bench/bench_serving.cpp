@@ -7,11 +7,14 @@
 //
 //   warm-single  serve::Engine with max_batch = 1: warm plans and pooled
 //                workspaces, but every request is still its own forward.
-//   batched      serve::Engine with max_batch = S: the batch former
+//   batched      serve::Engine with max_batch = B = 8: the batch former
 //                coalesces concurrent requests into one planned forward
 //                plus one batched HD pass.
 //
-// Both serve identical in-flight load, so by Little's law QPS and latency
+// S defaults to 2 x B x workers, so every batched worker can find a full
+// batch waiting while the other one runs; with S <= B all in-flight
+// requests fit one batch and only one worker is ever busy.  Both modes
+// serve identical in-flight load, so by Little's law QPS and latency
 // differences come from the compute path alone.  Responses are known
 // bitwise-identical between the two engine modes (tested in serve_test), so
 // this bench measures speed only.  The batching margin scales with core
@@ -43,6 +46,9 @@
 namespace {
 
 using namespace nshd;
+
+/// The batched engine's max_batch.
+constexpr int kMaxBatch = 8;
 
 std::unique_ptr<serve::ModelBundle> trained_bundle(const std::string& name,
                                                    std::size_t cut,
@@ -164,8 +170,8 @@ struct Record {
 
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
-  const int submitters = args.get_int("submitters", 8);
   const int workers = args.get_int("workers", 2);
+  const int submitters = args.get_int("submitters", 2 * kMaxBatch * workers);
   const int reps = args.get_int("reps", 3);
   const double seconds = args.get_int("duration_ms", 2000) / 1000.0;
   const std::string json_path = args.get("json", "BENCH_serving.json");
@@ -205,10 +211,10 @@ int main(int argc, char** argv) {
 
     serve::EngineConfig batch_config;
     batch_config.workers = workers;
-    batch_config.max_batch = submitters;
+    batch_config.max_batch = kMaxBatch;
     batch_config.batch_deadline_ms = 2.0;
     serve::Engine batch_engine(batch_config);
-    batch_engine.register_model(name, trained_bundle(name, cut, dataset, submitters));
+    batch_engine.register_model(name, trained_bundle(name, cut, dataset, kMaxBatch));
 
     Record record;
     record.model = name;
@@ -239,15 +245,16 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\n== serving throughput: %d submitters (closed loop), %d workers, "
-      "%.1fs per mode ==\n%s",
-      submitters, workers, seconds, table.to_string().c_str());
+      "batched max_batch %d, %.1fs per mode ==\n%s",
+      submitters, workers, kMaxBatch, seconds, table.to_string().c_str());
 
   if (std::FILE* out = std::fopen(json_path.c_str(), "w")) {
     std::fprintf(out,
                  "{\n  \"submitters\": %d,\n  \"workers\": %d,\n"
-                 "  \"cores\": %u,\n  \"duration_s\": %.2f,\n  \"results\": [\n",
-                 submitters, workers, std::thread::hardware_concurrency(),
-                 seconds);
+                 "  \"max_batch\": %d,\n  \"cores\": %u,\n"
+                 "  \"duration_s\": %.2f,\n  \"results\": [\n",
+                 submitters, workers, kMaxBatch,
+                 std::thread::hardware_concurrency(), seconds);
     for (std::size_t i = 0; i < records.size(); ++i) {
       const Record& r = records[i];
       const char* sep = i + 1 < records.size() ? "," : "";

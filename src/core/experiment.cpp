@@ -40,29 +40,28 @@ models::ZooModel& ExperimentContext::model(const std::string& name) {
   return models_.emplace(name, std::move(m)).first->second;
 }
 
-nn::InferencePlan& ExperimentContext::plan(const std::string& name,
-                                           std::size_t cut) {
+nn::Plan& ExperimentContext::plan(const std::string& name, std::size_t cut) {
   const std::string key = name + "|cut=" + std::to_string(cut);
   auto it = plans_.find(key);
   if (it != plans_.end()) return *it->second;
   // model() first: the plan must bind the *pretrained* weights' net.
   models::ZooModel& m = model(name);
-  auto built = std::make_unique<nn::InferencePlan>(m.net, m.input_chw, cut);
+  auto built = std::make_unique<nn::Plan>(m.net, m.input_chw, cut);
   return *plans_.emplace(key, std::move(built)).first->second;
 }
 
-nn::InferencePlan& ExperimentContext::full_plan(const std::string& name) {
+nn::Plan& ExperimentContext::full_plan(const std::string& name) {
   models::ZooModel& m = model(name);
   return plan(name, m.net.size() - 1);
 }
 
-nn::QuantizedInferencePlan& ExperimentContext::quantized_plan(
-    const std::string& name, std::size_t cut) {
-  const std::string key = name + "|cut=" + std::to_string(cut);
-  auto it = qplans_.find(key);
-  if (it != qplans_.end()) return *it->second;
+nn::Plan& ExperimentContext::quantized_plan(const std::string& name,
+                                            std::size_t cut) {
+  const std::string key = name + "|cut=" + std::to_string(cut) + "|int8";
+  auto it = plans_.find(key);
+  if (it != plans_.end()) return *it->second;
   models::ZooModel& m = model(name);
-  auto built = std::make_unique<nn::QuantizedInferencePlan>(m.net, m.input_chw, cut);
+  auto built = std::make_unique<nn::Plan>(m.net, m.input_chw, cut);
   NSHD_LOG_INFO("%s: calibrating int8 plan at cut %zu on the training set",
                 name.c_str(), cut);
   const nn::CalibrationReport& report =
@@ -72,7 +71,7 @@ nn::QuantizedInferencePlan& ExperimentContext::quantized_plan(
                 name.c_str(), cut, static_cast<long long>(report.int8_layers),
                 static_cast<long long>(report.fallback_layers),
                 static_cast<long long>(report.calibration_fallbacks));
-  return *qplans_.emplace(key, std::move(built)).first->second;
+  return *plans_.emplace(key, std::move(built)).first->second;
 }
 
 const ExtractedFeatures& ExperimentContext::quantized_test_features(

@@ -44,15 +44,14 @@ class ExperimentContext {
   /// Shared execution plan for layers [0..cut] of a pretrained model; built
   /// once per (model, cut) and reused across every sweep cell, epoch, and
   /// split that extracts at this cut.
-  nn::InferencePlan& plan(const std::string& name, std::size_t cut);
+  nn::Plan& plan(const std::string& name, std::size_t cut);
 
   /// Shared full-network plan (teacher logits, CNN test accuracy).
-  nn::InferencePlan& full_plan(const std::string& name);
+  nn::Plan& full_plan(const std::string& name);
 
   /// Shared INT8 plan for layers [0..cut]; built once per (model, cut) and
   /// calibrated on the training images at first access.
-  nn::QuantizedInferencePlan& quantized_plan(const std::string& name,
-                                             std::size_t cut);
+  nn::Plan& quantized_plan(const std::string& name, std::size_t cut);
 
   /// Test-split features extracted through the quantized plan (memoized
   /// in-memory; they depend on the calibration pass, not just the weights,
@@ -100,8 +99,8 @@ class ExperimentContext {
   data::TrainTest split_;
   std::map<std::string, models::ZooModel> models_;
   // unique_ptr: a plan owns a mutex and is neither movable nor copyable.
-  std::map<std::string, std::unique_ptr<nn::InferencePlan>> plans_;
-  std::map<std::string, std::unique_ptr<nn::QuantizedInferencePlan>> qplans_;
+  // f32 plans under "name|cut=N", calibrated int8 plans under "...|int8".
+  std::map<std::string, std::unique_ptr<nn::Plan>> plans_;
   std::map<std::string, tensor::Tensor> teacher_logits_;
   std::map<std::string, double> cnn_accuracy_;
   std::map<std::string, ExtractedFeatures> features_;

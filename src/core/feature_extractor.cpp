@@ -6,14 +6,8 @@
 
 namespace nshd::core {
 
-namespace {
-
-// The f32 and int8 plans share the run_batch contract (output_shape,
-// out_features, sliced-view execution, internal workspace pool), so one
-// batching loop serves both.
-template <typename Plan>
-ExtractedFeatures extract_features_impl(Plan& plan, const data::Dataset& dataset,
-                                        std::int64_t batch_size) {
+ExtractedFeatures extract_features(nn::Plan& plan, const data::Dataset& dataset,
+                                   std::int64_t batch_size) {
   assert(batch_size >= 1);
   ExtractedFeatures out;
   out.cut_layer = plan.last_layer();
@@ -44,20 +38,6 @@ ExtractedFeatures extract_features_impl(Plan& plan, const data::Dataset& dataset
   return out;
 }
 
-}  // namespace
-
-ExtractedFeatures extract_features(nn::InferencePlan& plan,
-                                   const data::Dataset& dataset,
-                                   std::int64_t batch_size) {
-  return extract_features_impl(plan, dataset, batch_size);
-}
-
-ExtractedFeatures extract_features(nn::QuantizedInferencePlan& plan,
-                                   const data::Dataset& dataset,
-                                   std::int64_t batch_size) {
-  return extract_features_impl(plan, dataset, batch_size);
-}
-
 ExtractedFeatures ExtractedFeatures::select_rows(
     const std::vector<std::int64_t>& rows) const {
   const std::int64_t f = values.shape()[1];
@@ -78,18 +58,11 @@ ExtractedFeatures extract_features(models::ZooModel& model, std::size_t cut_laye
                                    const data::Dataset& dataset,
                                    std::int64_t batch_size) {
   assert(cut_layer < model.feature_count);
-  nn::InferencePlan plan(model.net, model.input_chw, cut_layer, batch_size);
+  nn::Plan plan(model.net, model.input_chw, cut_layer, batch_size);
   return extract_features(plan, dataset, batch_size);
 }
 
-tensor::Tensor extract_one(nn::InferencePlan& plan, const tensor::Tensor& image) {
-  assert(image.shape().rank() == 4 && image.shape()[0] == 1);
-  tensor::Tensor activations = plan.run_batch(image);
-  return activations.reshaped(tensor::Shape{activations.numel()});
-}
-
-tensor::Tensor extract_one(nn::QuantizedInferencePlan& plan,
-                           const tensor::Tensor& image) {
+tensor::Tensor extract_one(nn::Plan& plan, const tensor::Tensor& image) {
   assert(image.shape().rank() == 4 && image.shape()[0] == 1);
   tensor::Tensor activations = plan.run_batch(image);
   return activations.reshaped(tensor::Shape{activations.numel()});
@@ -98,7 +71,7 @@ tensor::Tensor extract_one(nn::QuantizedInferencePlan& plan,
 tensor::Tensor extract_one(models::ZooModel& model, std::size_t cut_layer,
                            const tensor::Tensor& image) {
   assert(cut_layer < model.feature_count);
-  nn::InferencePlan plan(model.net, model.input_chw, cut_layer, /*max_batch=*/1);
+  nn::Plan plan(model.net, model.input_chw, cut_layer, /*max_batch=*/1);
   return extract_one(plan, image);
 }
 

@@ -6,7 +6,8 @@
 // reused across every retraining epoch, mirroring how the paper runs the
 // extractor under TensorRT exactly once per input.
 //
-// Extraction executes through an nn::InferencePlan: batches are sliced as
+// Extraction executes through an nn::Plan (f32, or int8 once calibrated):
+// batches are sliced as
 // TensorViews straight out of the dataset tensor and activations land
 // directly in the output rows, so the hot loop performs no heap allocation
 // or gather copies.  Batches run in parallel with per-worker workspaces;
@@ -18,7 +19,6 @@
 #include "data/dataset.hpp"
 #include "models/zoo.hpp"
 #include "nn/plan.hpp"
-#include "nn/quant_plan.hpp"
 
 namespace nshd::core {
 
@@ -38,16 +38,10 @@ struct ExtractedFeatures {
 
 /// Runs a prebuilt plan over every sample of `dataset`.  Use this overload
 /// when the same (model, cut) is extracted repeatedly — the plan's
-/// workspaces are reused across calls.
-ExtractedFeatures extract_features(nn::InferencePlan& plan,
-                                   const data::Dataset& dataset,
-                                   std::int64_t batch_size = 32);
-
-/// INT8 variant: identical batching/slicing over a calibrated quantized
-/// plan.  Features come back as f32 (the plan dequantizes at the cut), so
-/// everything downstream — manifold, projection, class bank — is untouched.
-ExtractedFeatures extract_features(nn::QuantizedInferencePlan& plan,
-                                   const data::Dataset& dataset,
+/// workspaces are reused across calls.  Features come back as f32 from an
+/// int8 plan too (it dequantizes at the cut), so everything downstream —
+/// manifold, projection, class bank — is the same for both precisions.
+ExtractedFeatures extract_features(nn::Plan& plan, const data::Dataset& dataset,
                                    std::int64_t batch_size = 32);
 
 /// Convenience overload: builds a one-shot plan for layers [0..cut_layer]
@@ -58,11 +52,7 @@ ExtractedFeatures extract_features(models::ZooModel& model, std::size_t cut_laye
 
 /// Extracts a single image [1, C, H, W] -> flat [F] through a prebuilt plan
 /// (a batch of one on the shared batched path).
-tensor::Tensor extract_one(nn::InferencePlan& plan, const tensor::Tensor& image);
-
-/// INT8 variant over a calibrated quantized plan.
-tensor::Tensor extract_one(nn::QuantizedInferencePlan& plan,
-                           const tensor::Tensor& image);
+tensor::Tensor extract_one(nn::Plan& plan, const tensor::Tensor& image);
 
 /// Convenience overload building a one-shot batch-1 plan.
 tensor::Tensor extract_one(models::ZooModel& model, std::size_t cut_layer,

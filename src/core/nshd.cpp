@@ -195,7 +195,7 @@ std::int64_t NshdModel::predict(const float* features) const {
 
 std::int64_t NshdModel::predict_image(const tensor::Tensor& image) const {
   if (!image_plan_) {
-    image_plan_ = std::make_unique<nn::InferencePlan>(
+    image_plan_ = std::make_unique<nn::Plan>(
         extractor_->net, extractor_->input_chw, cut_layer_, /*max_batch=*/1);
   }
   const tensor::Tensor features = extract_one(*image_plan_, image);
@@ -204,9 +204,12 @@ std::int64_t NshdModel::predict_image(const tensor::Tensor& image) const {
 
 const nn::CalibrationReport& NshdModel::enable_quantized_inference(
     const tensor::TensorView& calib_images, std::int64_t calib_batch) {
-  quantized_image_plan_ = std::make_unique<nn::QuantizedInferencePlan>(
+  // Installed only once calibrated, so the int8 path never runs f32.
+  auto plan = std::make_unique<nn::Plan>(
       extractor_->net, extractor_->input_chw, cut_layer_, /*max_batch=*/1);
-  return quantized_image_plan_->calibrate(calib_images, calib_batch);
+  plan->calibrate(calib_images, calib_batch);
+  quantized_image_plan_ = std::move(plan);
+  return quantized_image_plan_->report();
 }
 
 std::int64_t NshdModel::predict_image_quantized(const tensor::Tensor& image) const {

@@ -157,7 +157,7 @@ class NshdModel {
   std::int64_t predict_image_quantized(const tensor::Tensor& image) const;
 
   /// The int8 image plan, or nullptr before enable_quantized_inference.
-  const nn::QuantizedInferencePlan* quantized_plan() const {
+  const nn::Plan* quantized_plan() const {
     return quantized_image_plan_.get();
   }
 
@@ -208,10 +208,10 @@ class NshdModel {
   tensor::Shape feature_chw_;
   /// Lazily-built batch-1 plan so repeated predict_image calls reuse one
   /// workspace instead of re-planning the extractor every time.
-  mutable std::unique_ptr<nn::InferencePlan> image_plan_;
+  mutable std::unique_ptr<nn::Plan> image_plan_;
   /// INT8 batch-1 plan; present (and calibrated) only after
   /// enable_quantized_inference.
-  mutable std::unique_ptr<nn::QuantizedInferencePlan> quantized_image_plan_;
+  std::unique_ptr<nn::Plan> quantized_image_plan_;
   std::optional<ManifoldLearner> manifold_;
   hd::RandomProjection projection_;
   hd::HdClassifier classifier_;

@@ -6,36 +6,8 @@
 #include <string>
 
 #include "nn/layer.hpp"
-#include "tensor/ops.hpp"
 
 namespace nshd::nn {
-
-LossResult softmax_cross_entropy(const tensor::Tensor& logits,
-                                 const std::vector<std::int64_t>& labels) {
-  assert(logits.shape().rank() == 2);
-  const std::int64_t batch = logits.shape()[0];
-  [[maybe_unused]] const std::int64_t classes = logits.shape()[1];
-  assert(static_cast<std::int64_t>(labels.size()) == batch);
-
-  LossResult result;
-  result.probabilities = tensor::softmax(logits);
-  result.grad_logits = result.probabilities;
-
-  const float inv_batch = 1.0f / static_cast<float>(batch);
-  double total = 0.0;
-  for (std::int64_t n = 0; n < batch; ++n) {
-    const std::int64_t label = labels[static_cast<std::size_t>(n)];
-    assert(label >= 0 && label < classes);
-    const float p = result.probabilities.at(n, label);
-    total -= std::log(std::max(p, 1e-12f));
-    result.grad_logits.at(n, label) -= 1.0f;
-    if (tensor::argmax_row(result.probabilities, n) == label) ++result.correct;
-  }
-  for (std::int64_t i = 0; i < result.grad_logits.numel(); ++i)
-    result.grad_logits[i] *= inv_batch;
-  result.loss = total / static_cast<double>(batch);
-  return result;
-}
 
 LossStats softmax_cross_entropy_into(const tensor::TensorView& logits,
                                      const std::vector<std::int64_t>& labels,
@@ -75,8 +47,7 @@ LossStats softmax_cross_entropy_into(const tensor::TensorView& logits,
 
     const float p = g[label];
     total -= std::log(std::max(p, 1e-12f));
-    // Argmax before the onehot subtraction, first-max-wins — the order
-    // softmax_cross_entropy evaluates it in.
+    // Argmax before the onehot subtraction, first-max-wins.
     std::int64_t best = 0;
     for (std::int64_t i = 1; i < classes; ++i)
       if (g[i] > g[best]) best = i;

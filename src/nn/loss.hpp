@@ -4,34 +4,21 @@
 #include <cstdint>
 #include <vector>
 
-#include "tensor/tensor.hpp"
 #include "tensor/view.hpp"
 
 namespace nshd::nn {
 
-struct LossResult {
-  double loss = 0.0;                 // mean over the batch
-  tensor::Tensor probabilities;      // [N, K] softmax outputs
-  tensor::Tensor grad_logits;        // [N, K] d(mean loss)/d(logits)
-  std::int64_t correct = 0;          // argmax == label count
-};
-
-/// Computes mean softmax-CE over a batch of logits [N, K] with integer
-/// labels; grad_logits = (softmax - onehot) / N.
-LossResult softmax_cross_entropy(const tensor::Tensor& logits,
-                                 const std::vector<std::int64_t>& labels);
-
-/// Loss + accuracy of the zero-alloc variant below.
+/// Mean loss over the batch and the argmax == label count.
 struct LossStats {
   double loss = 0.0;
   std::int64_t correct = 0;
 };
 
-/// Zero-alloc softmax-CE: writes grad_logits = (softmax - onehot) / N into
-/// caller memory (same shape as logits, must not alias it) and returns
-/// loss/correct.  Float-op order matches softmax_cross_entropy exactly, so
-/// results are bitwise identical to the allocating path.  Throws
-/// TrainingStateError on a label outside [0, K).
+/// Mean softmax-CE over a batch of logits [N, K] with integer labels.
+/// Writes grad_logits = (softmax - onehot) / N into caller memory (same
+/// shape as logits, must not alias it) and returns loss/correct.  The row
+/// softmax follows tensor::softmax's float-op order at temperature 1.
+/// Throws TrainingStateError on a label outside [0, K).
 LossStats softmax_cross_entropy_into(const tensor::TensorView& logits,
                                      const std::vector<std::int64_t>& labels,
                                      tensor::TensorView grad_logits);

@@ -24,44 +24,31 @@ Sequential& Sequential::add(LayerPtr layer) {
   return *this;
 }
 
-void Sequential::forward_into_to(const TensorView& in, TensorView out,
-                                 Workspace& ws, std::size_t last_layer) {
-  check_layer_index(last_layer, layers_.size(), "Sequential::forward_into_to");
-
-  // Shape pass: the two ping-pong slabs are sized at the largest
-  // intermediate output (the final output lands in `out` directly).
-  std::vector<Shape> shapes(last_layer + 1);
-  Shape s = in.shape();
-  std::int64_t max_inter = 0;
-  for (std::size_t i = 0; i <= last_layer; ++i) {
-    s = layers_[i]->output_shape(s);
-    shapes[i] = s;
-    if (i < last_layer) max_inter = std::max(max_inter, s.numel());
-  }
-  assert(out.numel() == shapes[last_layer].numel());
-
-  Workspace::Frame frame(ws);
-  float* slabs[2] = {ws.alloc(max_inter), ws.alloc(max_inter)};
-
-  TensorView cur = in;
-  int cur_slab = -1;  // -1: still reading the caller's (read-only) input
-  for (std::size_t i = 0; i <= last_layer; ++i) {
+TensorView Sequential::forward_range(TensorView cur, int& cur_slab,
+                                     float* const slabs[2], float* out,
+                                     Workspace& ws, std::size_t first,
+                                     std::size_t last,
+                                     const BoundaryObserver& observe) {
+  check_layer_index(last, layers_.size(), "Sequential::forward_range");
+  for (std::size_t i = first; i <= last; ++i) {
     Layer& layer = *layers_[i];
-    TensorView target;
-    int target_slab = cur_slab;
-    if (i == last_layer) {
-      target = TensorView(out.data(), shapes[i]);
+    Shape shape = layer.output_shape(cur.shape());
+    float* target;
+    if (i == last && out != nullptr) {
+      target = out;
+      cur_slab = -1;
     } else if (layer.inplace_eval() && cur_slab >= 0) {
-      // Relabel the slab in place; numel is preserved by in-place layers.
-      target = TensorView(cur.data(), shapes[i]);
+      target = cur.data();  // in-place layers preserve numel
     } else {
-      target_slab = cur_slab == 0 ? 1 : 0;
-      target = TensorView(slabs[target_slab], shapes[i]);
+      cur_slab = cur_slab == 0 ? 1 : 0;
+      target = slabs[cur_slab];
     }
-    layer.forward_into(cur, target, ws);
-    cur = target;
-    cur_slab = target_slab;
+    TensorView next(target, std::move(shape));
+    layer.forward_into(cur, next, ws);
+    if (observe) observe(i + 1, next);
+    cur = std::move(next);
   }
+  return cur;
 }
 
 void Sequential::forward_into(const TensorView& in, TensorView out,
@@ -74,24 +61,27 @@ void Sequential::forward_into(const TensorView& in, TensorView out,
     }
     return;
   }
-  forward_into_to(in, out, scratch, layers_.size() - 1);
+  std::int64_t max_inter = 0;
+  Shape s = in.shape();
+  for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
+    s = layers_[i]->output_shape(s);
+    max_inter = std::max(max_inter, s.numel());
+  }
+  Workspace::Frame frame(scratch);
+  float* slabs[2] = {scratch.alloc(max_inter), scratch.alloc(max_inter)};
+  int slab = -1;
+  forward_range(in, slab, slabs, out.data(), scratch, 0, layers_.size() - 1);
 }
 
 std::int64_t Sequential::scratch_floats(const Shape& input) const {
   if (layers_.empty()) return 0;
-  return scratch_floats_to(input, layers_.size() - 1);
-}
-
-std::int64_t Sequential::scratch_floats_to(const Shape& input,
-                                           std::size_t last_layer) const {
-  check_layer_index(last_layer, layers_.size(), "Sequential::scratch_floats_to");
   Shape s = input;
   std::int64_t max_inter = 0, max_layer_scratch = 0;
-  for (std::size_t i = 0; i <= last_layer; ++i) {
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
     max_layer_scratch =
         std::max(max_layer_scratch, layers_[i]->scratch_floats(s));
     s = layers_[i]->output_shape(s);
-    if (i < last_layer) max_inter = std::max(max_inter, s.numel());
+    if (i + 1 < layers_.size()) max_inter = std::max(max_inter, s.numel());
   }
   // Slack for the arena rounding each alloc up to its alignment quantum.
   const auto align = static_cast<std::int64_t>(Workspace::kAlignFloats);

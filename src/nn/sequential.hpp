@@ -2,6 +2,7 @@
 // relies on to form feature extractors (Sec. IV-A).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -21,22 +22,30 @@ class Sequential final : public Layer {
     return add(std::make_unique<L>(std::forward<Args>(args)...));
   }
 
-  /// Workspace-backed inference through layers [0, last_layer] inclusive.
-  /// Intermediates ping-pong between two workspace slabs sized at the
-  /// largest intermediate; in-place-capable layers (activation, eval
-  /// batch-norm, flatten, dropout, SE) reuse the current slab.  `in` is
-  /// never written; the final layer writes straight into `out`.
-  void forward_into_to(const TensorView& in, TensorView out, Workspace& ws,
-                       std::size_t last_layer);
+  /// Called with (boundary, activation) as an eval walk writes each layer's
+  /// output; boundary i + 1 is layer i's output.
+  using BoundaryObserver =
+      std::function<void(std::size_t boundary, const TensorView& activation)>;
+
+  /// The one eval layer walk: plans, nested blocks and int8 calibration all
+  /// run through it.  Runs layers [first, last] on `cur`, which sits in
+  /// slabs[cur_slab] or, with cur_slab == -1, in caller memory that is never
+  /// written.  Each layer writes the other slab of the ping-pong pair, or
+  /// rewrites its input slab when inplace_eval() (activation, eval
+  /// batch-norm, flatten, dropout, SE); layer `last` writes `out` instead
+  /// when `out` is non-null.  Both slabs must hold any boundary the walk
+  /// writes to them.  Returns the range output and leaves cur_slab naming
+  /// the slab that holds it (-1 when it went to `out`).
+  TensorView forward_range(TensorView cur, int& cur_slab, float* const slabs[2],
+                           float* out, Workspace& ws, std::size_t first,
+                           std::size_t last,
+                           const BoundaryObserver& observe = nullptr);
 
   void forward_into(const TensorView& in, TensorView out,
                     Workspace& scratch) override;
+  /// Two ping-pong slabs at the largest intermediate plus the largest
+  /// per-layer scratch.
   std::int64_t scratch_floats(const Shape& input) const override;
-
-  /// Workspace floats needed by forward_into_to with this input shape:
-  /// two ping-pong slabs plus the largest per-layer scratch.
-  std::int64_t scratch_floats_to(const Shape& input,
-                                 std::size_t last_layer) const;
 
   /// Training forward for the planned path: every boundary activation is
   /// pinned in `ws` (no Frame — the buffers must survive until

@@ -5,7 +5,7 @@
 // (pinned activation tape, logit/gradient buffers, per-layer training
 // scratch), and then runs step() — forward_train_into, fused softmax-CE, and
 // backward_into — with zero heap allocations on the hot path.  Buffers
-// ping-pong through the leased arena exactly as in InferencePlan; the
+// ping-pong through the leased arena exactly as in nn::Plan; the
 // saved-for-backward activations are pinned for the lifetime of the step.
 //
 // Gradients are accumulated with the deterministic chunked scheme described
@@ -13,7 +13,7 @@
 // invariant to NSHD_THREADS.  This is the only training path;
 // nn::train_classifier runs one step() per batch.
 //
-// Unlike InferencePlan, a TrainingPlan is NOT thread-safe: training mutates
+// Unlike nn::Plan, a TrainingPlan is NOT thread-safe: training mutates
 // layer state (batch-norm statistics, dropout streams, parameter grads), so
 // there is exactly one workspace and steps must be serialized.
 //

@@ -244,7 +244,7 @@ TrainReport train_classifier(Sequential& model, const data::Dataset& train,
   return report;
 }
 
-tensor::Tensor predict_logits(InferencePlan& plan, const data::Dataset& dataset,
+tensor::Tensor predict_logits(Plan& plan, const data::Dataset& dataset,
                               std::int64_t batch_size) {
   const std::int64_t total = dataset.size();
   if (total == 0) return tensor::Tensor();
@@ -267,7 +267,7 @@ tensor::Tensor predict_logits(InferencePlan& plan, const data::Dataset& dataset,
   return all;
 }
 
-double evaluate_classifier(InferencePlan& plan, const data::Dataset& dataset,
+double evaluate_classifier(Plan& plan, const data::Dataset& dataset,
                            std::int64_t batch_size) {
   const std::int64_t total = dataset.size();
   if (total == 0) return 0.0;
@@ -283,14 +283,14 @@ double evaluate_classifier(InferencePlan& plan, const data::Dataset& dataset,
 double evaluate_classifier(Sequential& model, const data::Dataset& dataset,
                            std::int64_t batch_size) {
   if (dataset.size() == 0) return 0.0;
-  InferencePlan plan(model, dataset.sample_shape(), model.size() - 1, batch_size);
+  Plan plan(model, dataset.sample_shape(), model.size() - 1, batch_size);
   return evaluate_classifier(plan, dataset, batch_size);
 }
 
 tensor::Tensor predict_logits(Sequential& model, const data::Dataset& dataset,
                               std::int64_t batch_size) {
   if (dataset.size() == 0) return tensor::Tensor();
-  InferencePlan plan(model, dataset.sample_shape(), model.size() - 1, batch_size);
+  Plan plan(model, dataset.sample_shape(), model.size() - 1, batch_size);
   return predict_logits(plan, dataset, batch_size);
 }
 

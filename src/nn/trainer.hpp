@@ -92,12 +92,12 @@ TrainReport train_classifier(Sequential& model, const data::Dataset& train,
                              const TrainCheckpoint* resume = nullptr);
 
 /// Inference accuracy of `model` on `dataset` (batched, eval mode, via a
-/// one-shot full-net InferencePlan).  An empty dataset evaluates to 0.0.
+/// one-shot full-net Plan).  An empty dataset evaluates to 0.0.
 double evaluate_classifier(Sequential& model, const data::Dataset& dataset,
                            std::int64_t batch_size = 64);
 
 /// Plan-reusing overload for repeated evaluation of the same model.
-double evaluate_classifier(InferencePlan& plan, const data::Dataset& dataset,
+double evaluate_classifier(Plan& plan, const data::Dataset& dataset,
                            std::int64_t batch_size = 64);
 
 /// Full-model logits for every sample (eval mode), shape [N, K].
@@ -107,7 +107,7 @@ tensor::Tensor predict_logits(Sequential& model, const data::Dataset& dataset,
 
 /// Plan-reusing overload; batches run in parallel with per-worker
 /// workspaces and write disjoint rows of the result.
-tensor::Tensor predict_logits(InferencePlan& plan, const data::Dataset& dataset,
+tensor::Tensor predict_logits(Plan& plan, const data::Dataset& dataset,
                               std::int64_t batch_size = 64);
 
 }  // namespace nshd::nn

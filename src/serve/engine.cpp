@@ -73,9 +73,13 @@ void ModelBundle::enable_online(hd::UpdateGuard guard) {
 
 const nn::CalibrationReport& ModelBundle::enable_quantized(
     const tensor::TensorView& calib_images, std::int64_t calib_batch) {
-  qplan = std::make_unique<nn::QuantizedInferencePlan>(
-      zoo.net, zoo.input_chw, cut, plan.max_batch());
-  return qplan->calibrate(calib_images, calib_batch);
+  // Installed only once calibrated, so serving never runs an
+  // uncalibrated tape.
+  auto built = std::make_unique<nn::Plan>(zoo.net, zoo.input_chw, cut,
+                                          plan.max_batch());
+  built->calibrate(calib_images, calib_batch);
+  qplan = std::move(built);
+  return qplan->report();
 }
 
 bool save_bundle_checkpoint(const core::NshdModel& model, const std::string& key,
@@ -393,13 +397,12 @@ void Engine::execute_batch(ModelEntry& entry, std::vector<Request>& batch,
     features.chw = tensor::Shape{out_one[1], out_one.rank() > 2 ? out_one[2] : 1,
                                  out_one.rank() > 3 ? out_one[3] : 1};
     features.values = tensor::Tensor(tensor::Shape{n, f});
-    if (bundle.qplan != nullptr && bundle.qplan->calibrated()) {
-      // INT8 serving path: same cut, same [n, f] feature tensor, counted so
-      // the quantized arm is observable in stats().
-      bundle.qplan->run_batch(images.view(), features.values.view());
+    // The int8 plan, when enabled, has the same cut and [n, f] output; its
+    // batches are counted so the quantized arm is observable in stats().
+    nn::Plan& plan = bundle.qplan != nullptr ? *bundle.qplan : bundle.plan;
+    plan.run_batch(images.view(), features.values.view());
+    if (&plan != &bundle.plan) {
       counters_.quantized_batches.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      bundle.plan.run_batch(images.view(), features.values.view());
     }
 
     const std::vector<hd::Hypervector> queries =

@@ -6,7 +6,7 @@
 // (single images) enter per-model bounded queues; a pool of worker threads
 // forms dynamic batches — flushing on max-batch-size or on the oldest
 // request's deadline, whichever comes first — and drives the whole NSHD
-// pipeline batched: nn::InferencePlan::run_batch for the cut CNN, then
+// pipeline batched: nn::Plan::run_batch for the cut CNN, then
 // manifold + random-projection encoding, then one HdClassifier
 // similarities_all pass for the batch.  Batched responses are bitwise
 // identical to single-request responses (every kernel in the pipeline
@@ -87,7 +87,6 @@
 #include "hd/versioned_bank.hpp"
 #include "models/zoo.hpp"
 #include "nn/plan.hpp"
-#include "nn/quant_plan.hpp"
 #include "util/checkpoint.hpp"
 
 namespace nshd::serve {
@@ -215,7 +214,7 @@ struct ModelBundle {
   models::ZooModel zoo;
   std::size_t cut;
   core::NshdModel nshd;
-  nn::InferencePlan plan;
+  nn::Plan plan;
   /// Optional degradation head for NumericPolicy::kDegrade: a manifold-free
   /// (use_manifold = false) NshdModel over the same zoo/cut, consuming the
   /// raw cut features the plan already produced.  Train it like the primary
@@ -225,12 +224,12 @@ struct ModelBundle {
   /// execution scores against its latest published snapshot instead of
   /// nshd.classifier(), and the engine's update submission paths mutate it.
   std::unique_ptr<hd::VersionedBank> online;
-  /// INT8 serving plan: present and calibrated after enable_quantized().
-  /// When set, batch execution runs the quantized tape instead of `plan`
-  /// (quantized_batches counts them).  Reload only swaps HD state (manifold
-  /// FC + class bank), never CNN weights, so the quantized weights stay
-  /// valid across reload().
-  std::unique_ptr<nn::QuantizedInferencePlan> qplan;
+  /// INT8 serving plan: present, and already calibrated, after
+  /// enable_quantized().  When set, batch execution runs it instead of
+  /// `plan` (quantized_batches counts them).  Reload only swaps HD state
+  /// (manifold FC + class bank), never CNN weights, so the quantized weights
+  /// stay valid across reload().
+  std::unique_ptr<nn::Plan> qplan;
 
   ModelBundle(models::ZooModel zoo_model, std::size_t cut_layer,
               const core::NshdConfig& config, std::int64_t max_batch);

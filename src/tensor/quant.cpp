@@ -47,19 +47,6 @@ void MinMaxObserver::update(const Range& batch) {
   range_.hi = std::max(range_.hi, batch.hi);
 }
 
-void MovingAverageObserver::update(const Range& batch) {
-  if (!batch.seen) return;
-  range_.finite = range_.finite && batch.finite;
-  if (!range_.seen) {
-    range_.lo = batch.lo;
-    range_.hi = batch.hi;
-    range_.seen = true;
-    return;
-  }
-  range_.lo += momentum_ * (batch.lo - range_.lo);
-  range_.hi += momentum_ * (batch.hi - range_.hi);
-}
-
 CalibStatus activation_params(const Range& range, QuantParams* params) {
   bool bad = !range.seen || !range.finite || !std::isfinite(range.lo) ||
              !std::isfinite(range.hi);

@@ -13,9 +13,9 @@
 // exactly zero after the zero-point correction — bit-for-bit the same as f32
 // zero padding.
 //
-// Calibration: observers fold per-batch activation ranges (plain min/max or
-// an exponential moving average) and `activation_params` converts a range
-// into QuantParams with a *typed* status.  Non-finite ranges (kCalibNan) and
+// Calibration: a min/max observer folds per-batch activation ranges and
+// `activation_params` converts a range into QuantParams with a *typed*
+// status.  Non-finite ranges (kCalibNan) and
 // degenerate ranges (kScaleZero) are injectable through the
 // `quant.calib_nan` / `quant.scale_zero` fault sites; callers must surface
 // these as counted fallbacks, never as a silent switch to f32.
@@ -69,23 +69,6 @@ class MinMaxObserver {
   void reset() { range_ = Range{}; }
 
  private:
-  Range range_;
-};
-
-/// Exponential moving average of per-batch min/max: the first batch
-/// initializes the range, each later batch moves it by `momentum`.  Batch
-/// order is fixed (calibration runs batches serially), so the result is
-/// deterministic.
-class MovingAverageObserver {
- public:
-  explicit MovingAverageObserver(float momentum = 0.1f) : momentum_(momentum) {}
-  void update(const Range& batch);
-  void observe(const float* x, std::int64_t n) { update(batch_range(x, n)); }
-  const Range& range() const { return range_; }
-  void reset() { range_ = Range{}; }
-
- private:
-  float momentum_;
   Range range_;
 };
 

@@ -14,6 +14,7 @@
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/plan.hpp"
 #include "nn/pool.hpp"
 #include "nn/sequential.hpp"
 #include "nn/serialize.hpp"
@@ -374,15 +375,14 @@ TEST(MBConvBlock, GradientCheckWithResidualAndSe) {
 
 // --- Sequential ---
 
-/// Workspace-backed prefix forward through layers [0, last].
+/// Planned prefix forward through layers [0, last].
 Tensor forward_prefix(Sequential& net, const Tensor& x, std::size_t last) {
-  Tensor out(net.output_shape_at(x.shape(), last));
-  Workspace ws;
-  net.forward_into_to(x.view(), out.view(), ws, last);
-  return out;
+  const Shape& s = x.shape();
+  nn::Plan plan(net, Shape{s[1], s[2], s[3]}, last, s[0]);
+  return plan.run_batch(x);
 }
 
-TEST(Sequential, ForwardIntoToCutsPrefix) {
+TEST(Sequential, PlanCutsPrefix) {
   util::Rng rng(27);
   Sequential net;
   net.emplace<Conv2d>(1, 2, 3, 1, 1, true, rng);
@@ -423,48 +423,60 @@ TEST(Sequential, ParamsAggregatesChildren) {
 
 // --- Loss ---
 
+/// softmax_cross_entropy_into with a freshly allocated gradient.
+struct LossOut {
+  LossStats stats;
+  Tensor grad;
+};
+
+LossOut loss_of(const Tensor& logits, const std::vector<std::int64_t>& labels) {
+  LossOut r{{}, Tensor(logits.shape())};
+  r.stats = softmax_cross_entropy_into(logits.view(), labels, r.grad.view());
+  return r;
+}
+
 TEST(Loss, PerfectPredictionHasLowLoss) {
   Tensor logits(Shape{2, 3});
   logits.at(0, 0) = 100.0f;
   logits.at(1, 2) = 100.0f;
-  const LossResult r = softmax_cross_entropy(logits, {0, 2});
-  EXPECT_LT(r.loss, 1e-3);
-  EXPECT_EQ(r.correct, 2);
+  const LossOut r = loss_of(logits, {0, 2});
+  EXPECT_LT(r.stats.loss, 1e-3);
+  EXPECT_EQ(r.stats.correct, 2);
 }
 
 TEST(Loss, UniformLogitsGiveLogK) {
   Tensor logits(Shape{1, 10});
-  const LossResult r = softmax_cross_entropy(logits, {4});
-  EXPECT_NEAR(r.loss, std::log(10.0), 1e-5);
+  const LossOut r = loss_of(logits, {4});
+  EXPECT_NEAR(r.stats.loss, std::log(10.0), 1e-5);
 }
 
 TEST(Loss, GradientIsSoftmaxMinusOneHotOverN) {
   Tensor logits(Shape{2, 2});
   logits.at(0, 0) = 1.0f;
-  const LossResult r = softmax_cross_entropy(logits, {0, 1});
+  const LossOut r = loss_of(logits, {0, 1});
   // Row sums of grad must be ~0 (softmax sums to 1, one-hot sums to 1).
   for (std::int64_t n = 0; n < 2; ++n) {
-    EXPECT_NEAR(r.grad_logits.at(n, 0) + r.grad_logits.at(n, 1), 0.0f, 1e-6f);
+    EXPECT_NEAR(r.grad.at(n, 0) + r.grad.at(n, 1), 0.0f, 1e-6f);
   }
   // True-class gradient is negative.
-  EXPECT_LT(r.grad_logits.at(0, 0), 0.0f);
-  EXPECT_LT(r.grad_logits.at(1, 1), 0.0f);
+  EXPECT_LT(r.grad.at(0, 0), 0.0f);
+  EXPECT_LT(r.grad.at(1, 1), 0.0f);
 }
 
 TEST(Loss, GradientCheckAgainstFiniteDifference) {
   util::Rng rng(30);
   Tensor logits = random_tensor(Shape{3, 4}, rng);
   const std::vector<std::int64_t> labels{1, 3, 0};
-  const LossResult r = softmax_cross_entropy(logits, labels);
+  const LossOut r = loss_of(logits, labels);
   const float eps = 1e-3f;
   for (std::int64_t i = 0; i < logits.numel(); ++i) {
     Tensor up = logits, down = logits;
     up[i] += eps;
     down[i] -= eps;
-    const double numeric = (softmax_cross_entropy(up, labels).loss -
-                            softmax_cross_entropy(down, labels).loss) /
-                           (2.0 * eps);
-    EXPECT_NEAR(r.grad_logits[i], numeric, 1e-3);
+    const double numeric =
+        (loss_of(up, labels).stats.loss - loss_of(down, labels).stats.loss) /
+        (2.0 * eps);
+    EXPECT_NEAR(r.grad[i], numeric, 1e-3);
   }
 }
 

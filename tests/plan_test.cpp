@@ -2,7 +2,8 @@
 // semantics, InferencePlan against the independent double-precision
 // reference (reference_net.hpp) across every zoo model and cut point, bitwise
 // batch- and thread-invariance, plan-based extraction and evaluation, and
-// thread-safety of concurrent run_batch calls.
+// thread-safety of concurrent run_batch calls, and batch-composition
+// invariance of features and HD scores for the f32 and int8 plans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/feature_extractor.hpp"
+#include "core/nshd.hpp"
 #include "data/synth_cifar.hpp"
 #include "models/zoo.hpp"
 #include "nn/plan.hpp"
@@ -400,6 +402,84 @@ TEST(PlanReporting, OversizedBatchLeaseIsReleasedNotPooled) {
   plan.run_batch(in4b, out4.view());
   EXPECT_EQ(plan.workspace_count(), 1u);
   EXPECT_EQ(plan.peak_workspace_bytes(), burst_peak);
+}
+
+// --- Batch composition ---
+//
+// The serving engine forms batches of whatever size the arrival pattern
+// gives it, so a row's features and its HD scores must not depend on the
+// batch it rode in: every row of a batch of n must be bitwise equal to the
+// same image run alone.  n = 33 exceeds max_batch and takes the burst path.
+
+/// [n, K] scores of `features` rows through the NSHD head.
+Tensor head_scores(const core::NshdModel& nshd, const models::ZooModel& m,
+                   std::size_t cut, const Tensor& features) {
+  core::ExtractedFeatures rows;
+  rows.cut_layer = cut;
+  rows.chw = m.feature_shape_at(cut);
+  const std::int64_t n = features.shape()[0];
+  rows.values = features.reshaped(Shape{n, features.numel() / n});
+  return nshd.classifier().similarities_all(nshd.symbolize_all(rows),
+                                            nshd.config().similarity);
+}
+
+void check_batch_composition(nn::Plan& plan, models::ZooModel& m,
+                             std::size_t cut, std::int64_t dim,
+                             const std::string& name) {
+  constexpr std::int64_t kClasses = 10;
+  const data::Dataset ds = small_dataset(kClasses, 4);  // 40 images
+  core::NshdConfig config;
+  config.dim = dim;
+  config.manifold_features = 32;
+  config.epochs = 1;
+  config.use_kd = false;
+  config.train_manifold = false;
+  core::NshdModel nshd(m, cut, config);
+  nshd.train(core::extract_features(plan, ds, plan.max_batch()), ds.labels,
+             /*teacher_logits=*/nullptr);
+
+  const std::vector<std::int64_t> sizes = {1, 2, 3, 5, 7, 13, 31, 32, 33};
+  const std::int64_t rows = sizes.back();
+  ASSERT_GT(rows, plan.max_batch());
+  const int threads_before = util::thread_count();
+  for (const int threads : {1, 4}) {
+    util::set_thread_count(threads);
+    std::vector<Tensor> single_features, single_scores;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      single_features.push_back(planned_batch(plan, ds, r, 1));
+      single_scores.push_back(head_scores(nshd, m, cut, single_features.back()));
+    }
+    for (const std::int64_t n : sizes) {
+      const Tensor features = planned_batch(plan, ds, 0, n);
+      const Tensor scores = head_scores(nshd, m, cut, features);
+      for (std::int64_t r = 0; r < n; ++r) {
+        const std::string what = name + " threads=" + std::to_string(threads) +
+                                 " n=" + std::to_string(n) +
+                                 " row=" + std::to_string(r);
+        expect_bitwise_equal(row_of(features, r),
+                             single_features[static_cast<std::size_t>(r)],
+                             what + " features");
+        expect_bitwise_equal(row_of(scores, r),
+                             single_scores[static_cast<std::size_t>(r)],
+                             what + " scores");
+      }
+    }
+  }
+  util::set_thread_count(threads_before);
+}
+
+TEST(PlanBatchComposition, F32MobileNetV2sRowsIgnoreBatch) {
+  models::ZooModel m = models::make_model("mobilenetv2s", 10, /*seed=*/7);
+  nn::InferencePlan plan(m.net, m.input_chw, 17, /*max_batch=*/32);
+  check_batch_composition(plan, m, 17, /*dim=*/3000, "f32 mobilenetv2s cut=17");
+}
+
+TEST(PlanBatchComposition, Int8Vgg16sRowsIgnoreBatch) {
+  models::ZooModel m = models::make_model("vgg16s", 10, /*seed=*/7);
+  nn::QuantizedInferencePlan plan(m.net, m.input_chw, 29, /*max_batch=*/32);
+  const data::Dataset calib = small_dataset(10, 4);
+  ASSERT_EQ(plan.calibrate(calib.images.view(), 32).int8_layers, 30);
+  check_batch_composition(plan, m, 29, /*dim=*/10000, "int8 vgg16s cut=29");
 }
 
 }  // namespace
